@@ -29,6 +29,7 @@ from repro.gpu.simulator import SystemSimulator
 from repro.graph.datasets import get_dataset
 from repro.hmc.config import HMC_2_0
 from repro.hmc.flow import HmcFlowModel
+from repro.telemetry.trend import artifact_provenance
 from repro.thermal.model import HmcThermalModel
 from repro.thermal.sensor import ThermalSensor
 from repro.workloads.registry import get_workload
@@ -126,6 +127,8 @@ def _sweep(build, launch, reps=3):
 def _emit(rows, aggregate_speedup, macro_steps_per_s):
     payload = {
         "benchmark": "simulator_macro_vs_stepped",
+        # One scale only: full-size ldbc, with or without REPRO_BENCH_QUICK.
+        **artifact_provenance(quick=False),
         "config": {"workload": "pagerank", "dataset": "ldbc",
                    "policies": POLICIES},
         "aggregate_speedup": aggregate_speedup,

@@ -19,9 +19,11 @@ over the per-run leg at the calibrated full scale (>=1.5x under
 generation the gang amortizes), while re-asserting member results are
 *bit-identical* to per-run payloads across every cell of the sweep.
 
-Each run's measurements are appended to ``BENCH_sweep.json`` (written to
-the working directory); ``benchmarks/baselines.json`` registers the
-aggregate for the ``repro bench-trend`` gate.
+Each run's measurements are written to ``BENCH_sweep.json`` in the
+working directory; ``benchmarks/baselines.json`` registers the aggregate
+for the ``repro bench-trend`` gate. That committed artifact is full-scale
+only: a ``REPRO_BENCH_QUICK=1`` run writes ``BENCH_sweep.quick.json``
+instead (git-ignored, never gated).
 """
 
 import json
@@ -36,6 +38,7 @@ from repro.service.handlers import (
     run_simulation_job,
     simulation_spec,
 )
+from repro.telemetry.trend import artifact_provenance
 from repro.workloads import list_workloads
 
 #: The Fig. 10 evaluation matrix: the four policy curves plus the
@@ -48,11 +51,12 @@ POLICIES = list(POLICY_NAMES)
 SPEEDUP_FLOOR_FULL = 4.0
 SPEEDUP_FLOOR_QUICK = 1.5
 
-ARTIFACT = Path("BENCH_sweep.json")
-
-
 def _quick() -> bool:
     return bool(os.environ.get("REPRO_BENCH_QUICK"))
+
+
+def _artifact() -> Path:
+    return Path("BENCH_sweep.quick.json" if _quick() else "BENCH_sweep.json")
 
 
 def _config():
@@ -124,8 +128,9 @@ def test_gang_sweep_speedup():
         }
         for wl in workloads
     }
-    ARTIFACT.write_text(json.dumps({
+    _artifact().write_text(json.dumps({
         "benchmark": "sweep_gang_vs_per_run",
+        **artifact_provenance(quick=_quick()),
         "config": {
             "dataset": dataset,
             "workload_scale": scale,

@@ -30,7 +30,7 @@ from repro.hmc.flow import HmcFlowModel
 from repro.thermal.cooling import COMMODITY_SERVER, CoolingSolution
 from repro.thermal.model import HmcThermalModel
 from repro.thermal.sensor import ThermalSensor
-from repro.workloads.base import GraphWorkload
+from repro.workloads.base import RUN_LENGTH_ATTRS, GraphWorkload
 
 
 class CoolPimSystem:
@@ -70,7 +70,13 @@ class CoolPimSystem:
         self.last_stats: Optional[StatRegistry] = None
 
     def _launch_for(self, workload: GraphWorkload, graph: CSRGraph):
-        key = (workload.name, workload.seed, id(graph))
+        # The key holds the graph itself (CSRGraph hashes by identity), so
+        # a collected graph's id can never alias a new one's; the
+        # run-length knobs tell rescaled copies of a workload apart.
+        key = (
+            type(workload), workload.name, workload.seed, graph,
+            tuple(getattr(workload, a, None) for a in RUN_LENGTH_ATTRS),
+        )
         if key not in self._launch_cache:
             self._launch_cache[key] = workload.launch(graph, self.gpu)
         return self._launch_cache[key]

@@ -168,10 +168,11 @@ class CSRGraph:
             w = np.empty(0, dtype=np.float64) if with_weights else None
             return np.repeat(vertices, counts), empty, w
         # Edge positions: for each vertex, a contiguous run starting at
-        # indptr[v]; build with a cumulative-offset ramp.
-        run_ends = np.cumsum(counts)
-        ramp = np.arange(total, dtype=np.int64) - np.repeat(run_ends - counts, counts)
-        positions = np.repeat(starts, counts) + ramp
+        # indptr[v]. Output slot i of a run that begins at slot r holds
+        # position indptr[v] + (i - r): one ramp plus a per-run offset.
+        run_starts = np.cumsum(counts) - counts
+        positions = np.arange(total, dtype=np.int64)
+        positions += np.repeat(starts - run_starts, counts)
         sources = np.repeat(vertices, counts)
         targets = self.indices[positions]
         weights = None

@@ -2,11 +2,13 @@
 
 ``"ldbc"`` is the default evaluation graph (stand-in for the LDBC
 social-network dataset, see DESIGN.md §2). Smaller instances exist for
-tests and quick examples. Datasets are constructed lazily and cached.
+tests and quick examples. Datasets are constructed lazily and cached;
+concurrent first requests for one name build it once (single flight).
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Dict
 
 from repro.graph.csr import CSRGraph
@@ -34,6 +36,9 @@ _REGISTRY: Dict[str, Callable[[], CSRGraph]] = {
 }
 
 _CACHE: Dict[str, CSRGraph] = {}
+#: One build lock per name, so a cold ``ldbc`` does not stall ``road``.
+_BUILD_LOCKS: Dict[str, threading.Lock] = {}
+_BUILD_LOCKS_GUARD = threading.Lock()
 
 
 def list_datasets() -> list[str]:
@@ -48,9 +53,15 @@ def get_dataset(name: str) -> CSRGraph:
     """
     if name not in _REGISTRY:
         raise KeyError(f"unknown dataset {name!r}; available: {list_datasets()}")
-    if name not in _CACHE:
-        _CACHE[name] = _REGISTRY[name]()
-    return _CACHE[name]
+    graph = _CACHE.get(name)
+    if graph is not None:
+        return graph
+    with _BUILD_LOCKS_GUARD:
+        lock = _BUILD_LOCKS.setdefault(name, threading.Lock())
+    with lock:
+        if name not in _CACHE:
+            _CACHE[name] = _REGISTRY[name]()
+        return _CACHE[name]
 
 
 def clear_cache() -> None:

@@ -15,6 +15,7 @@ Baselines schema (``repro.bench-baselines/1``)::
       "benchmarks": {
         "<benchmark name>": {
           "source": "BENCH_simulator.json",
+          "mode": "full",
           "metrics": {
             "aggregate_speedup": {"baseline": 9.33, "min_ratio": 0.4},
             "policies.coolpim-hw.macro_s":
@@ -32,13 +33,22 @@ max_ratio``); a metric may declare both. Bands are deliberately wide —
 CI machines vary — so only real regressions (an engine falling off its
 fast path) trip the gate, not scheduler noise.
 
+Every artifact records the ``mode`` it was measured in (``quick`` smoke
+scale or ``full`` scale), the host's CPU count and the git revision (see
+:func:`artifact_provenance`). Every baseline declares its ``mode`` and
+only accepts artifacts of that mode: a quick-scale ratio checked against
+a full-scale baseline is a structural error, not a pass.
+
 Exit codes: 0 all within band, 1 regression (or missing bench source),
-2 structural error (missing/invalid baselines or bench JSON).
+2 structural error (missing/invalid baselines or bench JSON, or an
+artifact measured in another mode than its baseline).
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
@@ -47,6 +57,27 @@ BASELINES_SCHEMA_ID = "repro.bench-baselines/1"
 
 #: Default committed baselines location, relative to the repo root.
 DEFAULT_BASELINES = Path("benchmarks") / "baselines.json"
+
+#: Scales a bench artifact can be measured at.
+MODES = ("quick", "full")
+
+
+def artifact_provenance(quick: bool) -> Dict[str, Any]:
+    """Fields every ``BENCH_*.json`` carries: measurement mode, host CPU
+    count, and the git revision of the working tree (``-dirty`` when it
+    has uncommitted changes; ``unknown`` outside a checkout)."""
+    try:
+        revision = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=12"],
+            capture_output=True, text=True, check=True, timeout=10,
+        ).stdout.strip() or "unknown"
+    except (OSError, subprocess.SubprocessError):
+        revision = "unknown"
+    return {
+        "mode": "quick" if quick else "full",
+        "cpu_count": os.cpu_count(),
+        "git_revision": revision,
+    }
 
 
 @dataclass
@@ -102,6 +133,11 @@ def load_baselines(path: Path) -> Dict[str, Any]:
                 raise TrendError(
                     f"{name}.{metric} needs min_ratio and/or max_ratio"
                 )
+        if entry.get("mode") not in MODES:
+            raise TrendError(
+                f"benchmark {name!r} has mode {entry.get('mode')!r}; "
+                f"expected one of {MODES}"
+            )
     return doc
 
 
@@ -158,6 +194,12 @@ def evaluate(
             continue
         except json.JSONDecodeError as exc:
             raise TrendError(f"bench artifact {source} is not valid JSON: {exc}")
+        if doc.get("mode") != entry["mode"]:
+            raise TrendError(
+                f"bench artifact {source} was measured in mode "
+                f"{doc.get('mode')!r} but baseline {name!r} is "
+                f"{entry['mode']!r}; regenerate it at that scale"
+            )
         for metric, spec in entry["metrics"].items():
             rows.append(_compare(name, metric, spec,
                                  resolve_metric(doc, metric)))

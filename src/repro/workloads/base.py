@@ -102,6 +102,11 @@ class TrafficCoefficients:
                 raise ValueError(f"{name} must be in [0,1], got {v}")
 
 
+#: Instance knobs that set how long a workload runs (query count, passes,
+#: iterations); rescaling a workload rewrites them, changing its trace.
+RUN_LENGTH_ATTRS = ("num_sources", "repeats", "iterations")
+
+
 class GraphWorkload(abc.ABC):
     """A GraphBIG kernel: algorithm + traffic coefficients."""
 

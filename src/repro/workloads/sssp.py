@@ -50,6 +50,7 @@ class _SsspDataDriven(GraphWorkload):
         if not graph.is_weighted:
             raise ValueError(f"{self.name} requires a weighted graph")
         sources = pick_sources(graph, self.num_sources, self.seed)
+        mark = np.zeros(graph.num_vertices, dtype=bool)
         for q, source in enumerate(sources):
             dist = np.full(graph.num_vertices, np.inf)
             dist[int(source)] = 0.0
@@ -63,8 +64,13 @@ class _SsspDataDriven(GraphWorkload):
                 # distance (the kernel cannot know it won't improve until
                 # the atomic resolves).
                 atomics = int(dst.size)
-                np.minimum.at(dist, dst[improved], cand[improved])
-                nxt = np.unique(dst[improved])
+                targets = dst[improved]
+                np.minimum.at(dist, targets, cand[improved])
+                # Hash-free dedupe: the sorted unique set, as np.unique
+                # would give, read back from a mark bitmap.
+                mark[targets] = True
+                nxt = np.flatnonzero(mark)
+                mark[nxt] = False
                 yield EpochCounts(
                     label=f"q{q}-iter{it}",
                     frontier_vertices=int(frontier.size),
@@ -133,16 +139,17 @@ class SsspTwc(GraphWorkload):
         if not graph.is_weighted:
             raise ValueError(f"{self.name} requires a weighted graph")
         n = graph.num_vertices
-        all_vertices = np.arange(n, dtype=np.int64)
+        # Every sweep walks the whole edge list: gather it once.
+        src, dst, w = graph.expand(np.arange(n), with_weights=True)
         sources = pick_sources(graph, self.num_sources, self.seed)
         for q, source in enumerate(sources):
             dist = np.full(n, np.inf)
             dist[int(source)] = 0.0
             it = 0
             while True:
-                src, dst, w = graph.expand(all_vertices, with_weights=True)
-                finite = np.isfinite(dist[src])
-                cand = dist[src[finite]] + w[finite]
+                dist_src = dist[src]
+                finite = np.isfinite(dist_src)
+                cand = dist_src[finite] + w[finite]
                 tgt = dst[finite]
                 improved = cand < dist[tgt]
                 # Relaxations only issue for edges whose source has a

@@ -36,6 +36,36 @@ class TestRun:
         r2 = system.run(w, graph, "non-offloading")
         assert r1.runtime_s == pytest.approx(r2.runtime_s)
 
+    def test_launch_cache_tells_rescaled_workloads_apart(self, graph):
+        """A workload whose run length was rescaled gets its own trace."""
+        from repro.experiments.common import apply_workload_scale
+
+        system = CoolPimSystem()
+        full = system._launch_for(get_workload("bfs-dwc"), graph)
+        quarter = apply_workload_scale(get_workload("bfs-dwc"), 0.25)
+        scaled = system._launch_for(quarter, graph)
+        assert scaled is not full
+        assert len(scaled.trace) == len(quarter.launch(graph).trace)
+        assert len(scaled.trace) < len(full.trace)
+        assert system._launch_for(get_workload("bfs-dwc"), graph) is full
+
+    def test_launch_cache_holds_its_graph(self):
+        """A graph built after an earlier one was dropped — CPython hands
+        it the freed object's address, hence its ``id`` — must not be
+        served the earlier graph's trace."""
+        import numpy as np
+
+        from repro.graph.csr import CSRGraph
+
+        system = CoolPimSystem()
+        ring = CSRGraph(np.arange(9), (np.arange(8) + 1) % 8)
+        system._launch_for(get_workload("bfs-dwc"), ring)
+        del ring
+        path = CSRGraph(np.array([0, 1, 2, 3, 4, 5, 6, 7, 7]), np.arange(1, 8))
+        launch = system._launch_for(get_workload("bfs-dwc"), path)
+        assert len(launch.trace) == len(
+            get_workload("bfs-dwc").launch(path).trace)
+
     def test_run_all_policies_keys(self, system, graph):
         res = system.run_all_policies(get_workload("kcore"), graph)
         assert set(res) == {

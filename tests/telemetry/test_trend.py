@@ -7,6 +7,7 @@ import pytest
 from repro.telemetry.trend import (
     BASELINES_SCHEMA_ID,
     TrendError,
+    artifact_provenance,
     evaluate,
     load_baselines,
     render_trend_report,
@@ -24,7 +25,8 @@ def baselines_doc(metrics):
     return {
         "schema": BASELINES_SCHEMA_ID,
         "benchmarks": {
-            "bench": {"source": "BENCH_x.json", "metrics": metrics}
+            "bench": {"source": "BENCH_x.json", "mode": "full",
+                      "metrics": metrics}
         },
     }
 
@@ -73,7 +75,7 @@ class TestResolveMetric:
 
 class TestEvaluate:
     def test_within_band_is_ok(self, bench_dir):
-        write_json(bench_dir / "BENCH_x.json", {"speed": 1.9})
+        write_json(bench_dir / "BENCH_x.json", {"mode": "full", "speed": 1.9})
         rows = evaluate(
             baselines_doc({"speed": {"baseline": 2.0, "min_ratio": 0.5}}),
             bench_dir,
@@ -81,7 +83,7 @@ class TestEvaluate:
         assert [r.status for r in rows] == ["ok"]
 
     def test_min_ratio_floor_trips(self, bench_dir):
-        write_json(bench_dir / "BENCH_x.json", {"speed": 0.5})
+        write_json(bench_dir / "BENCH_x.json", {"mode": "full", "speed": 0.5})
         rows = evaluate(
             baselines_doc({"speed": {"baseline": 2.0, "min_ratio": 0.5}}),
             bench_dir,
@@ -90,7 +92,8 @@ class TestEvaluate:
         assert "floor" in rows[0].note
 
     def test_max_ratio_ceiling_trips(self, bench_dir):
-        write_json(bench_dir / "BENCH_x.json", {"wall_s": 10.0})
+        write_json(bench_dir / "BENCH_x.json",
+                   {"mode": "full", "wall_s": 10.0})
         rows = evaluate(
             baselines_doc({"wall_s": {"baseline": 2.0, "max_ratio": 3.0}}),
             bench_dir,
@@ -106,7 +109,7 @@ class TestEvaluate:
         assert rows[0].status == "missing"
 
     def test_missing_metric_in_artifact(self, bench_dir):
-        write_json(bench_dir / "BENCH_x.json", {"other": 1})
+        write_json(bench_dir / "BENCH_x.json", {"mode": "full", "other": 1})
         rows = evaluate(
             baselines_doc({"speed": {"baseline": 2.0, "min_ratio": 0.5}}),
             bench_dir,
@@ -116,7 +119,8 @@ class TestEvaluate:
 
 class TestRunTrend:
     def _setup(self, tmp_path, current, check):
-        write_json(tmp_path / "BENCH_x.json", {"speed": current})
+        write_json(tmp_path / "BENCH_x.json",
+                   {"mode": "full", "speed": current})
         baselines = write_json(
             tmp_path / "baselines.json",
             baselines_doc({"speed": {"baseline": 2.0, "min_ratio": 0.5}}),
@@ -144,7 +148,7 @@ class TestRunTrend:
         assert "error" in report
 
     def test_report_written_to_file(self, tmp_path):
-        write_json(tmp_path / "BENCH_x.json", {"speed": 2.0})
+        write_json(tmp_path / "BENCH_x.json", {"mode": "full", "speed": 2.0})
         baselines = write_json(
             tmp_path / "baselines.json",
             baselines_doc({"speed": {"baseline": 2.0, "min_ratio": 0.5}}),
@@ -157,6 +161,50 @@ class TestRunTrend:
     def test_report_renders_ratio_column(self, tmp_path):
         _, report = self._setup(tmp_path, 1.0, check=False)
         assert "0.50x" in report
+
+
+class TestModeGuard:
+    """A baseline only accepts artifacts measured in its mode: a quick
+    smoke ratio must not pass a full-scale gate."""
+
+    def _run(self, tmp_path, artifact):
+        write_json(tmp_path / "BENCH_x.json", artifact)
+        doc = baselines_doc({"speed": {"baseline": 2.0, "min_ratio": 0.5}})
+        return run_trend(tmp_path, write_json(tmp_path / "b.json", doc),
+                         check=True)
+
+    def test_matching_mode_is_compared(self, tmp_path):
+        code, report = self._run(tmp_path, {"mode": "full", "speed": 2.0})
+        assert code == 0, report
+
+    def test_other_mode_exits_two(self, tmp_path):
+        # In band numerically: the mode alone must refuse it.
+        code, report = self._run(tmp_path, {"mode": "quick", "speed": 2.0})
+        assert code == 2
+        assert "mode" in report and "quick" in report
+
+    def test_artifact_without_mode_exits_two(self, tmp_path):
+        code, _ = self._run(tmp_path, {"speed": 2.0})
+        assert code == 2
+
+    def test_unknown_baseline_mode_rejected(self, tmp_path):
+        doc = baselines_doc({"speed": {"baseline": 2.0, "min_ratio": 0.5}})
+        doc["benchmarks"]["bench"]["mode"] = "medium"
+        with pytest.raises(TrendError, match="mode"):
+            load_baselines(write_json(tmp_path / "b.json", doc))
+
+    def test_baseline_without_mode_rejected(self, tmp_path):
+        doc = baselines_doc({"speed": {"baseline": 2.0, "min_ratio": 0.5}})
+        del doc["benchmarks"]["bench"]["mode"]
+        with pytest.raises(TrendError, match="mode"):
+            load_baselines(write_json(tmp_path / "b.json", doc))
+
+    def test_provenance_fields(self):
+        assert artifact_provenance(quick=True)["mode"] == "quick"
+        prov = artifact_provenance(quick=False)
+        assert prov["mode"] == "full"
+        assert prov["cpu_count"] >= 1
+        assert isinstance(prov["git_revision"], str) and prov["git_revision"]
 
 
 class TestCommittedBaselines:
@@ -186,3 +234,14 @@ class TestCommittedBaselines:
         )
         assert code == 1
         assert "regression" in report
+
+    def test_committed_artifacts_record_provenance(self):
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[2]
+        doc = load_baselines(root / "benchmarks" / "baselines.json")
+        for entry in doc["benchmarks"].values():
+            bench = json.loads((root / entry["source"]).read_text())
+            assert bench["mode"] == entry["mode"] == "full"
+            assert bench["cpu_count"] >= 1
+            assert bench["git_revision"]

@@ -249,13 +249,15 @@ class TestBenchTrendDispatch:
     def _write(self, tmp_path, speed):
         import json
 
-        (tmp_path / "BENCH_x.json").write_text(json.dumps({"speed": speed}))
+        (tmp_path / "BENCH_x.json").write_text(
+            json.dumps({"mode": "full", "speed": speed}))
         baselines = tmp_path / "baselines.json"
         baselines.write_text(json.dumps({
             "schema": "repro.bench-baselines/1",
             "benchmarks": {
                 "bench": {
                     "source": "BENCH_x.json",
+                    "mode": "full",
                     "metrics": {
                         "speed": {"baseline": 2.0, "min_ratio": 0.5}
                     },
@@ -287,6 +289,17 @@ class TestBenchTrendDispatch:
         assert main(["bench-trend", "--dir", str(tmp_path),
                      "--baselines", str(tmp_path / "nope.json")]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_mode_mismatch_exits_two(self, tmp_path, capsys):
+        import json
+
+        baselines = self._write(tmp_path, 2.0)
+        bench = tmp_path / "BENCH_x.json"
+        bench.write_text(json.dumps(
+            {**json.loads(bench.read_text()), "mode": "quick"}))
+        assert main(["bench-trend", "--dir", str(tmp_path),
+                     "--baselines", baselines, "--check"]) == 2
+        assert "mode" in capsys.readouterr().err
 
 
 class TestRunnerArtifacts:
