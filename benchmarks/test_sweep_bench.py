@@ -1,23 +1,21 @@
-"""Sweep-scale throughput: gang engine vs the per-run macro path.
+"""Sweep-scale throughput: per-run jobs with and without the trace store.
 
-Guards the tentpole win of the gang engine (:mod:`repro.gpu.gang`) on
-the Fig. 10 sweep — every registry workload under the full five-policy
-evaluation matrix, executed the way the job service executes sweeps:
+Runs the Fig. 10 sweep — every registry workload under the full
+five-policy evaluation matrix — as 50 ``simulation`` jobs
+(:func:`~repro.service.handlers.run_simulation_job`), exactly as a sweep
+worker executes them, in two legs:
 
-- **per-run leg** — one ``simulation`` job per (workload, policy) cell,
-  each re-running :func:`~repro.service.handlers.run_simulation_job`
-  exactly as a sweep worker would (fresh system, fresh epoch-trace
-  generation per run).
-- **gang leg** — one ``gang_sweep`` job per workload
-  (:func:`~repro.service.handlers.run_gang_sweep_job`): the trace is
-  generated once and the policy lanes march in lockstep through the
-  shared reduced thermal basis.
+- **per-run leg** — the trace store
+  (:mod:`repro.workloads.trace_store`) is cleared before every cell, so
+  each job generates its epoch trace afresh;
+- **store leg** — the same 50 cells with the store live: each workload's
+  trace is generated by its first cell and replayed by the other four.
 
-``test_gang_sweep_speedup`` pins the gang at >=4x aggregate wall clock
-over the per-run leg at the calibrated full scale (>=1.5x under
-``REPRO_BENCH_QUICK=1``, where the small graph shrinks the trace
-generation the gang amortizes), while re-asserting member results are
-*bit-identical* to per-run payloads across every cell of the sweep.
+``test_trace_store_sweep_speedup`` pins the store leg at >=3.0x
+aggregate wall clock over the per-run leg at full scale (>=1.5x under
+``REPRO_BENCH_QUICK=1``, where the small graph makes trace generation
+cheap), while asserting every cell's result is *bit-identical* between
+the legs.
 
 Each run's measurements are written to ``BENCH_sweep.json`` in the
 working directory; ``benchmarks/baselines.json`` registers the aggregate
@@ -32,24 +30,22 @@ import time
 from pathlib import Path
 
 from repro.core.policies import POLICY_NAMES
-from repro.service.handlers import (
-    gang_sweep_spec,
-    run_gang_sweep_job,
-    run_simulation_job,
-    simulation_spec,
-)
+from repro.service.handlers import run_simulation_job, simulation_spec
 from repro.telemetry.trend import artifact_provenance
 from repro.workloads import list_workloads
+from repro.workloads.trace_store import get_trace_store
 
 #: The Fig. 10 evaluation matrix: the four policy curves plus the
 #: non-offloading baseline they are normalized to.
 POLICIES = list(POLICY_NAMES)
 
-#: Aggregate wall-clock floor, gang over per-run, at full scale. The
-#: quick floor is lower: the smoke graph makes trace generation — the
-#: dominant per-run cost the gang amortizes — nearly free.
-SPEEDUP_FLOOR_FULL = 4.0
+#: Aggregate wall-clock floor, store leg over per-run leg, at full scale.
+#: Six full-scale runs on a 2-vCPU host measured 3.62-4.23x (median
+#: 3.70x). The ratio tracks the trace share of a cold job, so a store
+#: that stops sharing traces falls through the floor.
+SPEEDUP_FLOOR_FULL = 3.0
 SPEEDUP_FLOOR_QUICK = 1.5
+
 
 def _quick() -> bool:
     return bool(os.environ.get("REPRO_BENCH_QUICK"))
@@ -72,7 +68,26 @@ def _result_of(payload):
     return result
 
 
-def test_gang_sweep_speedup():
+def _run_leg(workloads, dataset, scale, fresh_traces):
+    """Run every cell; returns ``(payloads, per-workload s, total s)``."""
+    store = get_trace_store()
+    store.clear()
+    payloads, per_wl = {}, {}
+    t_leg = time.perf_counter()
+    for wl in workloads:
+        t0 = time.perf_counter()
+        for policy in POLICIES:
+            if fresh_traces:
+                store.clear()
+            spec = simulation_spec(
+                wl, dataset=dataset, policy=policy, workload_scale=scale,
+            )
+            payloads[wl, policy] = run_simulation_job(spec)
+        per_wl[wl] = time.perf_counter() - t0
+    return payloads, per_wl, time.perf_counter() - t_leg
+
+
+def test_trace_store_sweep_speedup():
     dataset, scale, floor = _config()
     workloads = list_workloads()
 
@@ -83,53 +98,27 @@ def test_gang_sweep_speedup():
         workload_scale=scale,
     ))
 
-    per_run_payloads = {}
-    per_run_s = {}
-    t_leg = time.perf_counter()
-    for wl in workloads:
-        t0 = time.perf_counter()
-        for policy in POLICIES:
-            spec = simulation_spec(
-                wl, dataset=dataset, policy=policy, workload_scale=scale,
-            )
-            per_run_payloads[wl, policy] = run_simulation_job(spec)
-        per_run_s[wl] = time.perf_counter() - t0
-    per_run_total = time.perf_counter() - t_leg
+    per_run, per_run_s, per_run_total = _run_leg(
+        workloads, dataset, scale, fresh_traces=True)
+    shared, store_s, store_total = _run_leg(
+        workloads, dataset, scale, fresh_traces=False)
 
-    gang_payloads = {}
-    gang_s = {}
-    t_leg = time.perf_counter()
-    for wl in workloads:
-        t0 = time.perf_counter()
-        gang_payloads[wl] = run_gang_sweep_job(gang_sweep_spec(
-            wl, POLICIES, dataset=dataset, workload_scale=scale,
-        ))
-        gang_s[wl] = time.perf_counter() - t0
-    gang_total = time.perf_counter() - t_leg
+    # Correctness rides along with the timing: a replayed trace must give
+    # every cell the result a freshly generated one gives.
+    for cell, payload in per_run.items():
+        assert _result_of(shared[cell]) == _result_of(payload), cell
 
-    # Correctness rides along with the timing: every member of every
-    # gang must be bit-identical to its per-run payload (the full
-    # contract lives in tests/gpu/test_gang_equivalence.py).
-    for wl in workloads:
-        members = gang_payloads[wl]["members"]
-        assert [m["payload"]["policy"] for m in members] == POLICIES, wl
-        for member in members:
-            policy = member["payload"]["policy"]
-            assert _result_of(member["payload"]) == _result_of(
-                per_run_payloads[wl, policy]
-            ), (wl, policy)
-
-    aggregate = per_run_total / gang_total
+    aggregate = per_run_total / store_total
     rows = {
         wl: {
             "per_run_s": per_run_s[wl],
-            "gang_s": gang_s[wl],
-            "speedup": per_run_s[wl] / gang_s[wl],
+            "store_s": store_s[wl],
+            "speedup": per_run_s[wl] / store_s[wl],
         }
         for wl in workloads
     }
     _artifact().write_text(json.dumps({
-        "benchmark": "sweep_gang_vs_per_run",
+        "benchmark": "sweep_store_vs_per_run",
         **artifact_provenance(quick=_quick()),
         "config": {
             "dataset": dataset,
@@ -139,13 +128,13 @@ def test_gang_sweep_speedup():
             "quick": _quick(),
         },
         "per_run_s": per_run_total,
-        "gang_s": gang_total,
+        "store_s": store_total,
         "aggregate_speedup": aggregate,
         "workloads_detail": rows,
     }, indent=2) + "\n")
 
     per_wl = ", ".join(f"{wl}={r['speedup']:.1f}x" for wl, r in rows.items())
     assert aggregate >= floor, (
-        f"gang engine only {aggregate:.2f}x over the per-run sweep "
+        f"trace store only {aggregate:.2f}x over the per-run sweep "
         f"(floor {floor}x; {per_wl})"
     )

@@ -330,6 +330,7 @@ def create_router(service: ApiService) -> Router:
 
     async def get_metrics(request: Request):
         from repro.telemetry import CONTENT_TYPE, get_registry, render_exposition
+        from repro.workloads.trace_store import get_trace_store
 
         reg = get_registry()
         # Scrape-time gauges: cheap to read, pointless to maintain hot.
@@ -355,6 +356,10 @@ def create_router(service: ApiService) -> Router:
             "repro_api_sse_subscribers",
             help="Live event-stream followers.",
         ).set(service.sse_subscribers)
+        reg.gauge(
+            "repro_trace_store_entries",
+            help="Epoch traces held in the in-memory trace store.",
+        ).set(len(get_trace_store()))
         if service.store is not None:
             try:
                 sstats = service.store.stats()

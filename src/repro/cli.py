@@ -170,13 +170,12 @@ def cmd_batch(args) -> int:
         argv.append("--no-cache")
     if args.out:
         argv.extend(["--out", args.out])
-    if args.engine:
-        argv.extend(["--engine", args.engine])
     return runner.main(argv)
 
 
 def cmd_cache(args) -> int:
     from repro.service import JobJournal, ResultStore, store_stats_payload
+    from repro.workloads.trace_store import TraceDir
 
     store = ResultStore(root=args.cache_dir) if args.cache_dir else ResultStore()
     action = args.action
@@ -188,11 +187,14 @@ def cmd_cache(args) -> int:
 
         print(json.dumps(store_stats_payload(store), indent=2, sort_keys=True))
         return 0
+    traces = TraceDir.for_store(store)
     if action == "clear":
-        print(f"removed {store.clear()} cached result(s) from {store.root}")
+        print(f"removed {store.clear()} cached result(s) and "
+              f"{traces.clear()} trace(s) from {store.root}")
         return 0
     if action == "prune":
-        print(f"pruned {store.prune_stale()} stale result(s) from {store.root}")
+        print(f"pruned {store.prune_stale()} stale result(s) and "
+              f"{traces.prune_stale()} stale trace(s) from {store.root}")
         return 0
     if action == "ls":
         for record in sorted(
@@ -212,6 +214,9 @@ def cmd_cache(args) -> int:
     print(f"cache dir : {store.root}")
     print(f"entries   : {stats.entries} ({stats.stale_entries} stale)")
     print(f"size      : {stats.total_bytes / 1024:.1f} KiB")
+    tstats = traces.stats()
+    print(f"traces    : {tstats['entries']} ({tstats['stale_entries']} stale),"
+          f" {tstats['total_bytes'] / 1024:.1f} KiB")
     journal_path = store.root / "journal.jsonl"
     counts = JobJournal.summary(journal_path)
     if counts:
@@ -476,8 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["macro", "stepped", "gang"],
                        help="simulation engine (macro: vectorized burst "
                             "fast path; stepped: scalar reference loop; "
-                            "gang: lockstep multi-config sweeps, bit-equal "
-                            "to macro — single runs fall back to macro)")
+                            "gang: alias of macro)")
         p.add_argument("--scenario", default=None, choices=SCENARIO_NAMES,
                        help="inject a seeded fault scenario (degraded "
                             "cooling, sensor faults, ...; see repro list)")
@@ -517,8 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also write each experiment's output to DIR")
     batch_p.add_argument("--engine", default=None,
                          choices=["macro", "gang"],
-                         help="evaluation-sweep engine (gang: lockstep "
-                              "policy gangs, bit-equal to macro)")
+                         help="accepted for compatibility: sweeps "
+                              "always run on the macro engine ('gang' is "
+                              "an alias of it)")
 
     cache_p = sub.add_parser("cache", help="inspect or clear the result cache")
     cache_p.add_argument(

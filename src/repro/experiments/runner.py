@@ -15,7 +15,6 @@ EXPERIMENTS.md records one full run of this script.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import Callable, Dict, List, Optional
@@ -185,14 +184,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--engine", default=None, choices=["macro", "gang"],
-        help="evaluation-sweep engine (gang: lockstep policy gangs, "
-             "bit-equal to macro; exported so --jobs workers inherit it)",
+        help="accepted for compatibility: sweeps always run on the macro "
+             "engine ('gang' is an alias of it)",
     )
     args = parser.parse_args(argv)
-    if args.engine:
-        # Env (not argv/params) so forked sweep workers see it while job
-        # cache keys stay engine-independent.
-        os.environ["REPRO_SWEEP_ENGINE"] = args.engine
     scale = (
         RunScale.quick(seed=args.seed) if args.quick
         else RunScale.full(seed=args.seed)

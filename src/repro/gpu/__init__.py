@@ -10,18 +10,14 @@ policy.
 
 from repro.gpu.caches import CacheModel
 from repro.gpu.config import GPU_DEFAULT, GpuConfig
-from repro.gpu.gang import GangEngine, GangLane, run_gang
 from repro.gpu.kernel import KernelLaunch
 from repro.gpu.simulator import SimulationResult, SystemSimulator
 
 __all__ = [
     "CacheModel",
-    "GangEngine",
-    "GangLane",
     "GPU_DEFAULT",
     "GpuConfig",
     "KernelLaunch",
     "SimulationResult",
     "SystemSimulator",
-    "run_gang",
 ]

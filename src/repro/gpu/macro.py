@@ -92,9 +92,6 @@ class MacroEngine:
     mutable state as attributes so the burst/scalar paths share it.
     """
 
-    #: Engine name stamped on traces and live-telemetry samples.
-    engine_label = "macro"
-
     def __init__(self, sim: "SystemSimulator") -> None:
         self.sim = sim
         # Interval-model constants hoisted for the speculation loop. Each
@@ -125,10 +122,8 @@ class MacroEngine:
         self.fail_streak = 0
         self._prop = None
         self._prop_bad = False
-        #: Per-run certified peak readout (created with the propagator).
-        #: Per-run on purpose: its mode/candidate state depends on the
-        #: burst history, which is the determinism contract that lets a
-        #: gang lane reproduce a solo run's floats call for call.
+        #: Per-run certified peak readout (created with the propagator):
+        #: its mode/candidate state depends on the run's burst history.
         self._reader = None
         # Reduced-state cache: eigen-coordinates of the thermal state and
         # its peak DRAM temperature, valid while no exact solver step has
@@ -137,21 +132,6 @@ class MacroEngine:
         # reconstruction; the node state is materialized lazily.
         self._z = None
         self._z_peak = 0.0
-        #: Optional shared ``{id(batch): MemoryTraffic}`` memo. The cache
-        #: filter is a pure function of the batch and the (immutable)
-        #: cache-model parameters, so gang lanes replaying the same trace
-        #: under identical cache configs share one memo — same values,
-        #: computed once.
-        self._filter_memo = None
-
-    def _filter(self, batch: OpBatch):
-        memo = self._filter_memo
-        if memo is None:
-            return self.sim.cache.filter(batch)
-        traffic = memo.get(id(batch))
-        if traffic is None:
-            traffic = memo[id(batch)] = self.sim.cache.filter(batch)
-        return traffic
 
     # -- epoch bookkeeping -------------------------------------------------
 
@@ -160,7 +140,7 @@ class MacroEngine:
         self.batch = batch
         self.atomics_total += batch.atomics
         if traffic is None:
-            traffic = self._filter(batch)
+            traffic = sim.cache.filter(batch)
         from repro.gpu.simulator import _EpochState
 
         self.state = _EpochState(batch, traffic)
@@ -228,25 +208,11 @@ class MacroEngine:
         return t1, t2
 
     # -- main entry --------------------------------------------------------
-    #
-    # The run is split into begin / round / finish so the gang engine can
-    # drive many engines in lockstep: each round advances one engine by
-    # one burst attempt (or one scalar step). ``run`` itself is just the
-    # solo driver — one engine, rounds back to back — so the solo and
-    # gang paths execute the identical per-run code.
 
     def run(self, launch: KernelLaunch, policy: "OffloadPolicy"):
-        self._run_begin(launch, policy)
-        while self._round_open():
-            if self.skip > 0:
-                self.skip -= 1
-                self._scalar_step()
-            elif self._try_burst() == 0:
-                self._scalar_step()
-            self._sink_sample()
-        return self._run_finish()
+        from repro.gpu.simulator import SimulationResult
+        from repro.telemetry.live import get_run_sink
 
-    def _run_begin(self, launch: KernelLaunch, policy: "OffloadPolicy") -> None:
         sim = self.sim
         launch.trace.rewind()
         sim.sensor.reset()
@@ -321,71 +287,49 @@ class MacroEngine:
         self.state = None
         trace = launch.trace
         self.launch_trace = trace
-        # Live telemetry: sampled only between committed steps or
+        # Live telemetry: sampled only here, between committed steps or
         # bursts — the speculative march never emits, so attaching a
         # sink cannot perturb the bit-equality contract.
-        from repro.telemetry.live import get_run_sink
-
-        self._sink = get_run_sink()
-        self._total_epochs = max(1, len(trace))
-        self._launch = launch
-        self._wall_t0 = wall_t0
-        self._stats_scope = stats
-        self._fan_power_w = fan_power_w
-
-    def _round_open(self) -> bool:
-        """Advance the trace to a runnable epoch; False when the run is done.
-
-        One call per round: opens (and skips empty) epochs, then applies
-        any scenario events due at the current instant — exactly the top
-        of the reference loop's iteration.
-        """
-        scen = self.scen
-        trace = self.launch_trace
-        while self.state is None:
-            batch = trace.next()
-            if batch is None:
-                return False
+        sink = get_run_sink()
+        total_epochs = max(1, len(trace))
+        while True:
+            if self.state is None:
+                batch = trace.next()
+                if batch is None:
+                    break
+                if scen is not None:
+                    batch = scen.transform_batch(batch)
+                self._open_epoch(batch, self.now_s)
+                if not self._epoch_pending():
+                    self._close_epoch(self.now_s)
+                    continue
             if scen is not None:
-                batch = scen.transform_batch(batch)
-            self._open_epoch(batch, self.now_s)
-            if not self._epoch_pending():
-                self._close_epoch(self.now_s)
-        if scen is not None:
-            # Stepped applies due events at the top of every control
-            # step — i.e. after the epoch open at the same instant.
-            scen.apply_due(self.now_s)
-        return True
+                # Stepped applies due events at the top of every control
+                # step — i.e. after the epoch open at the same instant.
+                scen.apply_due(self.now_s)
+            if self.skip > 0:
+                self.skip -= 1
+                self._scalar_step()
+            elif self._try_burst() == 0:
+                self._scalar_step()
+            if sink is not None and self.now_s >= sink.next_due_s:
+                pool = getattr(policy, "pool", None)
+                sink.emit_sample({
+                    "t_s": self.now_s,
+                    "progress": trace.position / total_epochs,
+                    "dram_c": self.last_temp_c,
+                    "pim_fraction": self.frac_tw.value,
+                    "tokens": pool.size if pool is not None else None,
+                    "warnings": self.warnings,
+                    "shutdowns": self.shutdowns,
+                    "avg_link_gbs": (
+                        self.link_bytes / self.now_s / 1e9
+                        if self.now_s > 0 else 0.0
+                    ),
+                    "phase": sim.flow.phase.name,
+                    "engine": "macro",
+                })
 
-    def _sink_sample(self) -> None:
-        sink = self._sink
-        if sink is not None and self.now_s >= sink.next_due_s:
-            policy = self.policy
-            pool = getattr(policy, "pool", None)
-            sink.emit_sample({
-                "t_s": self.now_s,
-                "progress": self.launch_trace.position / self._total_epochs,
-                "dram_c": self.last_temp_c,
-                "pim_fraction": self.frac_tw.value,
-                "tokens": pool.size if pool is not None else None,
-                "warnings": self.warnings,
-                "shutdowns": self.shutdowns,
-                "avg_link_gbs": (
-                    self.link_bytes / self.now_s / 1e9
-                    if self.now_s > 0 else 0.0
-                ),
-                "phase": self.sim.flow.phase.name,
-                "engine": self.engine_label,
-            })
-
-    def _run_finish(self):
-        from repro.gpu.simulator import SimulationResult
-
-        sim = self.sim
-        scen = self.scen
-        launch = self._launch
-        policy = self.policy
-        stats = self._stats_scope
         self._materialize()
         if scen is not None:
             # Restore the shared thermal/flow/sensor models to nominal:
@@ -403,11 +347,11 @@ class MacroEngine:
         stats.counter("host_atomics_assigned").add(self.host_assigned_total)
         if self.traced:
             self.tracer.complete(
-                "sim.run", self._wall_t0, _time.perf_counter(), cat="sim",
+                "sim.run", wall_t0, _time.perf_counter(), cat="sim",
                 workload=launch.name, policy=policy.name,
                 epochs=self.epochs, control_steps=self.control_steps,
                 warnings=self.warnings, shutdowns=self.shutdowns,
-                sim_runtime_s=self.now_s, engine=self.engine_label,
+                sim_runtime_s=self.now_s, engine="macro",
             )
 
         return SimulationResult(
@@ -424,7 +368,7 @@ class MacroEngine:
             shutdowns=self.shutdowns,
             phase_time_s=self.phase_time,
             package_energy_j=self.package_energy_j,
-            fan_energy_j=self._fan_power_w * self.now_s,
+            fan_energy_j=fan_power_w * self.now_s,
             timeline=self.timeline,
         )
 
@@ -580,11 +524,8 @@ class MacroEngine:
 
     # -- burst path --------------------------------------------------------
     #
-    # One burst = begin → speculate → march → validate → commit. Each
-    # stage is a method so the gang engine can reuse the pipeline: lanes
-    # inherit begin/validate/commit verbatim (bit-identical semantics),
-    # override ``_speculate`` with a vectorized equivalent, and let the
-    # gang driver batch the march across lanes. ``_Burst`` carries one
+    # One burst = begin → speculate → march → validate → commit, one
+    # method per stage (driven by ``_try_burst``). ``_Burst`` carries one
     # burst's inputs and outputs between the stages.
 
     def _spec_begin(self) -> "Optional[_Burst]":
@@ -670,8 +611,8 @@ class MacroEngine:
         """Scalar speculation: replay the control loop into ``b.steps``.
 
         Pure-Python, bit-identical arithmetic to the reference loop —
-        the per-step 31-tuples are the contract every other stage (and
-        the gang engine's vectorized override) builds on.
+        the per-step 31-tuples are the contract every other stage builds
+        on.
         """
         sim = self.sim
         exempt = self.exempt
@@ -738,7 +679,7 @@ class MacroEngine:
                     break
                 if scen is not None:
                     nb = scen.transform_batch(nb)
-                ntraffic = self._filter(nb)
+                ntraffic = sim.cache.filter(nb)
                 entries.append((len(steps), nb, ntraffic))
                 sr = float(ntraffic.reads)
                 sw_ = float(ntraffic.writes)
@@ -1149,43 +1090,35 @@ class MacroEngine:
                 self.spec_cap = max(SPEC_CAP_NEAR, min(SPEC_CAP_MIN, 2 * j))
         return j
 
-    def _burst_prepare(self) -> Optional[tuple]:
-        """Begin + speculate + assemble march inputs; ``None`` → no burst.
-
-        Returns ``(b, cols, z0, t0_peak, coeffs)`` ready for the thermal
-        march. The gang engine collects these across lanes and batches
-        the march; the solo path marches immediately.
-        """
+    def _try_burst(self) -> int:
+        """Speculate/validate/commit one burst; returns committed quanta."""
         b = self._spec_begin()
         if b is None:
-            return None
+            return 0
         self._speculate(b)
-        if not b.steps:
-            self.launch_trace.seek(b.pos0)
-            return None
-        cols = list(zip(*b.steps))
-        if self.exempt:
-            return b, cols, None, None, None
-        mc = self._march_coeffs(b, cols)
-        if mc is None:
-            self._prop_bad = True
-            self.launch_trace.seek(b.pos0)
-            return None
-        z0, t0_peak, coeffs = mc
-        return b, cols, z0, t0_peak, coeffs
-
-    def _burst_finish(self, pending: tuple, Z, peaks) -> int:
-        """Validate the marched burst and commit its provable prefix."""
-        b, cols, _z0, t0_peak, _coeffs = pending
         K = len(b.steps)
-        if not self.exempt:
-            temps = self._temps_of(b, cols, peaks, t0_peak)
-            j, flip_stop, phase_stop = self._validate(b, temps)
-        else:
+        if K == 0:
+            self.launch_trace.seek(b.pos0)
+            return 0
+        cols = list(zip(*b.steps))
+        Z, peaks = None, np.empty(0)
+        if self.exempt:
             temps = np.full(K, self.sim.thermal.ambient_c)
             j = K
             flip_stop = False
             phase_stop = None
+        else:
+            mc = self._march_coeffs(b, cols)
+            if mc is None:
+                self._prop_bad = True
+                self.launch_trace.seek(b.pos0)
+                return 0
+            z0, t0_peak, coeffs = mc
+            if coeffs is not None:
+                Z = self._prop.march(z0, coeffs)
+                peaks = self._reader.peaks(Z)
+            temps = self._temps_of(b, cols, peaks, t0_peak)
+            j, flip_stop, phase_stop = self._validate(b, temps)
 
         if j < MIN_BURST:
             self.launch_trace.seek(b.pos0)
@@ -1200,22 +1133,6 @@ class MacroEngine:
         return self._commit(
             b, cols, j, flip_stop, phase_stop, Z, peaks, temps
         )
-
-    def _march(self, pending: tuple):
-        """Solo thermal march for one prepared burst: ``(Z, peaks)``."""
-        _b, _cols, z0, _t0_peak, coeffs = pending
-        if coeffs is None:
-            return None, np.empty(0)
-        Z = self._prop.march(z0, coeffs)
-        return Z, self._reader.peaks(Z)
-
-    def _try_burst(self) -> int:
-        """Speculate/validate/commit one burst; returns committed quanta."""
-        pending = self._burst_prepare()
-        if pending is None:
-            return 0
-        Z, peaks = self._march(pending)
-        return self._burst_finish(pending, Z, peaks)
 
 
 class _Burst:

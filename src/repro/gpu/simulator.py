@@ -43,6 +43,10 @@ from repro.thermal.sensor import ThermalSensor
 #: re-enable after an overheat stop, and loses its contents (Sec. III-A).
 SHUTDOWN_RECOVERY_S = 20.0
 
+#: Engine names kept for clients of the removed lockstep gang engine,
+#: whose results were bit-equal to macro.
+ENGINE_ALIASES = {"gang": "macro"}
+
 
 @dataclass
 class SimulationResult:
@@ -199,10 +203,10 @@ class SystemSimulator:
     ) -> None:
         if control_dt_s <= 0:
             raise ValueError(f"control quantum must be positive: {control_dt_s}")
-        if engine not in ("macro", "stepped", "gang"):
+        engine = ENGINE_ALIASES.get(engine, engine)
+        if engine not in ("macro", "stepped"):
             raise ValueError(
-                f"engine must be 'macro', 'stepped', or 'gang', "
-                f"got {engine!r}"
+                f"engine must be 'macro' or 'stepped', got {engine!r}"
             )
         if saturation_threads <= 0:
             raise ValueError(
@@ -274,9 +278,7 @@ class SystemSimulator:
     def run(self, launch: KernelLaunch, policy: "OffloadPolicy") -> SimulationResult:
         """Execute the launch under ``policy``; returns run aggregates."""
         wall_t0 = _time.perf_counter()
-        if self.engine in ("macro", "gang"):
-            # A gang of one is exactly the macro engine; the gang driver
-            # in :mod:`repro.gpu.gang` only exists for multi-lane sweeps.
+        if self.engine == "macro":
             from repro.gpu.macro import MacroEngine
 
             result = MacroEngine(self).run(launch, policy)

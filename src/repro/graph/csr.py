@@ -7,6 +7,7 @@ immutable after construction; algorithms allocate their own property arrays.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Optional, Tuple
 
 import numpy as np
@@ -74,6 +75,24 @@ class CSRGraph:
     @property
     def is_weighted(self) -> bool:
         return self.weights is not None
+
+    def content_digest(self) -> str:
+        """SHA-256 over the CSR arrays, computed once per graph.
+
+        Two graphs with equal arrays share a digest whatever their object
+        identity, which is what lets traces be addressed by graph content.
+        """
+        digest = self.__dict__.get("_content_digest")
+        if digest is None:
+            h = hashlib.sha256()
+            for arr in (self.indptr, self.indices, self.weights):
+                if arr is None:
+                    h.update(b"none")
+                else:
+                    h.update(f"{arr.dtype.str}{arr.size}:".encode())
+                    h.update(arr.tobytes())
+            digest = self._content_digest = h.hexdigest()
+        return digest
 
     def out_degree(self, v: Optional[int] = None) -> np.ndarray | int:
         """Out-degree of vertex ``v``, or the full degree array."""

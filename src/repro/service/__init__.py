@@ -30,10 +30,8 @@ Quickstart::
 from repro.service.fingerprint import code_fingerprint
 from repro.service.handlers import (
     experiment_spec,
-    gang_sweep_spec,
     prewarm_worker,
     run_experiment_job,
-    run_gang_sweep_job,
     run_simulation_job,
     simulation_spec,
 )
@@ -77,12 +75,10 @@ __all__ = [
     "code_fingerprint",
     "default_cache_dir",
     "experiment_spec",
-    "gang_sweep_spec",
     "prewarm_worker",
     "register_handler",
     "resolve_handler",
     "run_experiment_job",
-    "run_gang_sweep_job",
     "run_jobs",
     "run_simulation_job",
     "simulation_spec",

@@ -57,6 +57,7 @@ from repro.service.jobs import (
 from repro.service.journal import JobJournal
 from repro.service.singleflight import Flight, SingleFlight
 from repro.service.store import ResultStore
+from repro.workloads.trace_store import TraceDir, disk_tier, set_disk_tier
 
 #: Process-wide single-flight group: concurrent schedulers (threads of the
 #: HTTP service, parallel batch invocations) coalesce identical specs on
@@ -173,6 +174,16 @@ class SweepReport:
             f"{self.executed} executed{coalesced}), "
             f"{len(self.failures)} failed in {self.elapsed_s:.1f} s"
         )
+
+
+def _init_pool_worker(
+    trace_dir: Optional[TraceDir], initializer: Optional[Any]
+) -> None:
+    """Pool-worker initializer: back the trace store with the
+    scheduler's trace directory, then run the caller's initializer."""
+    set_disk_tier(trace_dir)
+    if initializer is not None:
+        initializer()
 
 
 class JobScheduler:
@@ -394,35 +405,6 @@ class JobScheduler:
 
     # -- shared bookkeeping -----------------------------------------------
 
-    def _fanout_members(self, spec: JobSpec, result: JobResult) -> None:
-        """Write a gang sweep's member results under their own keys.
-
-        A ``gang_sweep`` payload carries one entry per member
-        configuration, each tagged with the ``simulation`` spec identity
-        a per-run execution of that configuration would have had. Storing
-        them individually keeps the per-config cache contract: a later
-        per-run submission of any member is a plain cache hit, and
-        store-derived views (leaderboard, ``repro cache ls``) see the
-        same records a per-run sweep would have produced.
-        """
-        if spec.kind != "gang_sweep":
-            return
-        members = result.payload.get("members") or ()
-        per_member_s = result.elapsed_s / max(1, len(members))
-        for member in members:
-            try:
-                member_spec = JobSpec.from_dict(member["spec"])
-                payload = member["payload"]
-            except (KeyError, TypeError):
-                continue
-            self.store.put(member_spec, payload, elapsed_s=per_member_s)
-            self._log(
-                "member_cached",
-                key=member_spec.key,
-                name=member_spec.name,
-                gang=spec.key,
-            )
-
     def _record_success(
         self, report: SweepReport, spec: JobSpec, out: Dict[str, Any], attempt: int
     ) -> None:
@@ -459,7 +441,6 @@ class JobScheduler:
         self._job_metric("completed", spec, result.elapsed_s)
         if self.store is not None:
             self.store.put(spec, result.payload, elapsed_s=result.elapsed_s)
-            self._fanout_members(spec, result)
         # Store write precedes the publish: a woken follower (or anyone
         # racing the cache) already sees the persisted record.
         self._publish(spec.key, result)
@@ -542,12 +523,17 @@ class JobScheduler:
 
     # -- serial execution -------------------------------------------------
 
+    def _trace_dir(self) -> Optional[TraceDir]:
+        """Disk tier of the trace store: next to the result store."""
+        return None if self.store is None else TraceDir.for_store(self.store)
+
     def _run_serial(self, pending: Sequence[JobSpec], report: SweepReport) -> None:
         for spec in pending:
             attempt = 1
             while True:
                 try:
-                    out = _worker_run(spec.to_dict(), attempt)
+                    with disk_tier(self._trace_dir()):
+                        out = _worker_run(spec.to_dict(), attempt)
                 except JobTimeoutError as exc:
                     reason, message = "timeout", str(exc)
                 except Exception as exc:  # noqa: BLE001 — degrade, don't die
@@ -582,11 +568,11 @@ class JobScheduler:
             method = ctx.get_start_method() if ctx else multiprocessing.get_start_method()
             if method == "fork":
                 self.worker_initializer()
-            return ProcessPoolExecutor(
-                max_workers=workers, mp_context=ctx,
-                initializer=self.worker_initializer,
-            )
-        return ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
+        return ProcessPoolExecutor(
+            max_workers=workers, mp_context=ctx,
+            initializer=_init_pool_worker,
+            initargs=(self._trace_dir(), self.worker_initializer),
+        )
 
     def _run_pool(self, pending: Sequence[JobSpec], report: SweepReport) -> None:
         ctx = self._mp_context()

@@ -227,6 +227,7 @@ def store_stats_payload(
     read the same shape from both.
     """
     from repro.service.journal import JobJournal
+    from repro.workloads.trace_store import TraceDir
 
     stats = store.stats()
     payload: Dict[str, Any] = {
@@ -243,4 +244,5 @@ def store_stats_payload(
         "path": str(journal_path),
         "events": dict(sorted(counts.items())),
     }
+    payload["traces"] = TraceDir.for_store(store).stats()
     return payload

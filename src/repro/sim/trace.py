@@ -168,45 +168,52 @@ class TraceCursor:
         """Write the trace as a compressed NumPy archive."""
         import numpy as np
 
-        cols = {
-            "reads": [b.reads for b in self._batches],
-            "writes": [b.writes for b in self._batches],
-            "atomics": [b.atomics for b in self._batches],
-            "atomics_with_return": [b.atomics_with_return for b in self._batches],
-            "compute_cycles": [b.compute_cycles for b in self._batches],
-            "threads": [b.threads for b in self._batches],
-        }
-        arrays = {k: np.asarray(v, dtype=np.int64) for k, v in cols.items()}
-        arrays["divergence"] = np.asarray(
-            [b.divergent_warp_ratio for b in self._batches], dtype=np.float64
-        )
-        # Unicode dtype (not object) so the archive needs no pickling; and
-        # no stray keywords — np.savez_compressed treats *every* kwarg as
-        # an array to save, so `allow_pickle=True` here would silently
-        # write a bogus 0-d array named "allow_pickle" into the archive.
-        arrays["labels"] = np.asarray(
-            [b.label for b in self._batches], dtype=np.str_
-        )
-        np.savez_compressed(path, **arrays)
+        np.savez_compressed(path, **batch_columns(self._batches))
 
     @classmethod
     def load(cls, path) -> "TraceCursor":
-        """Load a trace written by :meth:`save`."""
+        """Load a trace written by :meth:`save`.
+
+        Refuses archives that would need unpickling (an object-dtype
+        column raises ``ValueError``): traces may come from a shared
+        cache directory, and loading one must never execute code.
+        """
         import numpy as np
 
-        with np.load(path, allow_pickle=True) as data:
-            n = data["reads"].size
-            batches = [
-                OpBatch(
-                    reads=int(data["reads"][i]),
-                    writes=int(data["writes"][i]),
-                    atomics=int(data["atomics"][i]),
-                    atomics_with_return=int(data["atomics_with_return"][i]),
-                    compute_cycles=int(data["compute_cycles"][i]),
-                    threads=int(data["threads"][i]),
-                    divergent_warp_ratio=float(data["divergence"][i]),
-                    label=str(data["labels"][i]),
-                )
-                for i in range(n)
-            ]
-        return cls(batches)
+        with np.load(path, allow_pickle=False) as data:
+            return cls(batches_from_columns(data))
+
+
+#: Archive layout: ``(column, OpBatch field, dtype)`` in constructor order.
+#: Labels are unicode, not object, so reading an archive needs no pickling.
+_COLUMNS = (
+    ("reads", "reads", "int64"),
+    ("writes", "writes", "int64"),
+    ("atomics", "atomics", "int64"),
+    ("atomics_with_return", "atomics_with_return", "int64"),
+    ("compute_cycles", "compute_cycles", "int64"),
+    ("threads", "threads", "int64"),
+    ("divergence", "divergent_warp_ratio", "float64"),
+    ("labels", "label", "U"),
+)
+
+
+def batch_columns(batches: Sequence[OpBatch]) -> dict:
+    """Column arrays of a batch sequence (the archive layout)."""
+    import numpy as np
+
+    return {
+        column: np.asarray([getattr(b, attr) for b in batches], dtype=dtype)
+        for column, attr, dtype in _COLUMNS
+    }
+
+
+def batches_from_columns(data) -> List[OpBatch]:
+    """Inverse of :func:`batch_columns`.
+
+    Each column is read once: every ``NpzFile`` member access
+    decompresses the whole column again, so indexing members per epoch
+    would make loading quadratic in the trace length.
+    """
+    columns = [data[column].tolist() for column, _, _ in _COLUMNS]
+    return [OpBatch(*row) for row in zip(*columns)]

@@ -101,7 +101,7 @@ class HmcThermalModel:
         if not hasattr(self, "_basis_cache"):
             # The basis is a pure function of the power-model constants
             # and the shared floorplan/network, so instances over the
-            # same operators (gang lanes, sweep systems) reuse one
+            # same operators (the systems of a sweep) reuse one
             # assembly instead of re-running the per-vault map walks.
             if self._shared_ops is not None:
                 shared = getattr(self._shared_ops, "_basis_cache", None)

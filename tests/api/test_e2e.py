@@ -169,3 +169,40 @@ class TestEndToEnd:
         for run in resubmit["runs"]:
             assert run["cached"] and run["status"] == "completed"
         assert len(executions) == 2
+
+    def test_cold_policy_block_generates_its_trace_once(
+        self, server, executions, monkeypatch
+    ):
+        """Three cold ``POST /runs`` of one workload under different
+        policies (two running at once on the two workers) share one
+        epoch-trace generation through the trace store."""
+        from repro.workloads.base import GraphWorkload
+        from repro.workloads.trace_store import get_trace_store
+
+        generations = []
+        original = GraphWorkload.launch
+
+        def counting(self, *args):
+            generations.append(self.name)
+            return original(self, *args)
+
+        monkeypatch.setattr(GraphWorkload, "launch", counting)
+        get_trace_store().clear()
+        client = ApiClient(server.host, server.port)
+        runs = [
+            client.submit_run(
+                workload="bfs-ta", dataset="ldbc-tiny", policy=policy,
+                workload_scale=0.25, seed=3,
+            )
+            for policy in ("non-offloading", "coolpim-sw", "coolpim-hw")
+        ]
+        done = [client.wait_for_run(r["run_id"], timeout_s=120.0)
+                for r in runs]
+        assert [d["status"] for d in done] == ["completed"] * 3
+        assert len(executions) == 3
+        assert generations == ["bfs-ta"]
+        metrics = client.metrics()
+        for series in ("repro_trace_store_entries",
+                       "repro_trace_store_misses_total",
+                       'repro_trace_store_hits_total{tier="memory"}'):
+            assert series in metrics

@@ -182,24 +182,23 @@ class TestSweepRequest:
             assert spec.params["scenario_seed"] == 2
         assert specs[1].params["policy"] == "static-0.5"
 
-    def test_gang_engine_groups_per_workload_dataset(self):
-        specs = validate_sweep_request({
+    def test_gang_engine_is_macro_alias(self):
+        # "gang" names the removed lockstep engine: sweeps expand to
+        # per-run simulation specs, cache-key identical to macro ones.
+        body = {
             "workloads": ["pagerank", "kcore"],
             "datasets": ["ldbc-tiny"],
             "policies": ["non-offloading", "coolpim-hw", "static-0.5"],
-            "engine": "gang",
-        })
-        assert len(specs) == 2  # one gang per (workload, dataset) cell
-        for spec in specs:
-            assert spec.kind == "gang_sweep"
-            assert spec.params["policies"] == [
-                "non-offloading", "coolpim-hw", "static-0.5"
-            ]
+        }
+        gang = validate_sweep_request(dict(body, engine="gang"))
+        macro = validate_sweep_request(body)
+        assert [s.kind for s in gang] == ["simulation"] * 6
+        assert [s.key for s in gang] == [s.key for s in macro]
 
     def test_gang_engine_falls_back_per_run(self):
         # A scenario (per-run fault injection) and a single-policy sweep
-        # are not gang-eligible: both degrade to per-run simulation
-        # specs, cache-key identical to a macro submission.
+        # also expand to per-run simulation specs, cache-key identical to
+        # a macro submission.
         with_scenario = validate_sweep_request({
             "workloads": ["pagerank"],
             "policies": ["non-offloading", "coolpim-hw"],

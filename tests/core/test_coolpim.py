@@ -5,6 +5,7 @@ import pytest
 from repro.core import CoolPimSystem
 from repro.graph import get_dataset
 from repro.workloads import get_workload
+from repro.workloads.trace_store import TraceStore, get_trace_store
 
 
 @pytest.fixture(scope="module")
@@ -35,19 +36,26 @@ class TestRun:
         r1 = system.run(w, graph, "non-offloading")
         r2 = system.run(w, graph, "non-offloading")
         assert r1.runtime_s == pytest.approx(r2.runtime_s)
+        # Both runs replayed the stored trace: same batch objects, each
+        # through a cursor of its own.
+        store = get_trace_store()
+        a, b = store.launch(w, graph), store.launch(w, graph)
+        assert a.trace is not b.trace
+        assert all(x is y for x, y in zip(a.trace, b.trace))
 
     def test_launch_cache_tells_rescaled_workloads_apart(self, graph):
         """A workload whose run length was rescaled gets its own trace."""
         from repro.experiments.common import apply_workload_scale
 
-        system = CoolPimSystem()
-        full = system._launch_for(get_workload("bfs-dwc"), graph)
+        store = TraceStore()
+        full = store.launch(get_workload("bfs-dwc"), graph)
         quarter = apply_workload_scale(get_workload("bfs-dwc"), 0.25)
-        scaled = system._launch_for(quarter, graph)
-        assert scaled is not full
+        scaled = store.launch(quarter, graph)
         assert len(scaled.trace) == len(quarter.launch(graph).trace)
         assert len(scaled.trace) < len(full.trace)
-        assert system._launch_for(get_workload("bfs-dwc"), graph) is full
+        again = store.launch(get_workload("bfs-dwc"), graph)
+        assert list(again.trace) == list(full.trace)
+        assert all(x is y for x, y in zip(again.trace, full.trace))
 
     def test_launch_cache_holds_its_graph(self):
         """A graph built after an earlier one was dropped — CPython hands
@@ -57,12 +65,12 @@ class TestRun:
 
         from repro.graph.csr import CSRGraph
 
-        system = CoolPimSystem()
+        store = TraceStore()
         ring = CSRGraph(np.arange(9), (np.arange(8) + 1) % 8)
-        system._launch_for(get_workload("bfs-dwc"), ring)
+        store.launch(get_workload("bfs-dwc"), ring)
         del ring
         path = CSRGraph(np.array([0, 1, 2, 3, 4, 5, 6, 7, 7]), np.arange(1, 8))
-        launch = system._launch_for(get_workload("bfs-dwc"), path)
+        launch = store.launch(get_workload("bfs-dwc"), path)
         assert len(launch.trace) == len(
             get_workload("bfs-dwc").launch(path).trace)
 

@@ -1,26 +1,18 @@
-"""Gang-engine equivalence: lockstep lanes must equal solo macro runs.
+"""``engine="gang"`` is an alias of the macro engine.
 
-The gang correctness contract (see :mod:`repro.gpu.gang`) is *bit*
-equality: every lane of a gang produces exactly the ``SimulationResult``
-its configuration would produce through a per-run macro execution — which
-is itself equivalent to the stepped oracle (tests/gpu/
-test_macro_equivalence.py). The suite chains both comparisons: seeded
-randomized traces across lane counts (hypothesis), the full policy
-matrix on a hot trace, forced divergence where one lane shuts down on
-passive cooling while the others run clean on commodity cooling, and the
-``repro_gang_*`` telemetry series.
+Clients of the removed lockstep gang engine still pass ``"gang"``; its
+runs must stay *bit*-equal to macro runs (temperatures and timelines
+included) and, through macro, equivalent to the stepped oracle
+(tests/gpu/test_macro_equivalence.py).
 """
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.policies import StaticFraction, make_policy
-from repro.gpu.gang import GangEngine, build_lane, run_gang
+from repro.core.policies import make_policy
 from repro.gpu.simulator import SystemSimulator
 from repro.hmc.config import HMC_2_0
 from repro.hmc.flow import HmcFlowModel
-from repro.thermal.cooling import COMMODITY_SERVER, PASSIVE
+from repro.thermal.cooling import COMMODITY_SERVER
 from repro.thermal.model import HmcThermalModel
 from repro.thermal.sensor import ThermalSensor
 
@@ -30,58 +22,29 @@ from tests.gpu.test_macro_equivalence import (
     POLICY_NAMES,
     assert_equivalent,
     hot_launch,
-    make_launch,
-    random_batches,
     run_both,
 )
 
 
-def run_solo(launch, policy, cooling=COMMODITY_SERVER):
-    """Per-run macro reference for one gang member configuration."""
+def run_engine(launch, policy, engine):
     sim = SystemSimulator(
         flow=HmcFlowModel(HMC_2_0),
-        thermal=HmcThermalModel(HMC_2_0, cooling=cooling),
+        thermal=HmcThermalModel(HMC_2_0, cooling=COMMODITY_SERVER),
         sensor=ThermalSensor(),
-        engine="macro",
+        engine=engine,
     )
-    pol = make_policy(policy) if isinstance(policy, str) else policy()
-    result = sim.run(launch, pol)
+    assert sim.engine == "macro"
+    result = sim.run(launch, make_policy(policy))
     return result, sim.stats.snapshot()
 
 
-def run_as_gang(launch, members):
-    """Run ``members`` — (policy, cooling) pairs — as one gang.
-
-    Returns ``[(result, stats_snapshot)]`` in member order plus the
-    engine (for divergence/telemetry assertions).
-    """
-    lanes = []
-    for policy, cooling in members:
-        pol = make_policy(policy) if isinstance(policy, str) else policy()
-        lanes.append(build_lane(launch, pol, cooling=cooling))
-    engine = GangEngine(lanes)
-    results = engine.run()
-    return [
-        (res, lane.sim.stats.snapshot())
-        for res, lane in zip(results, lanes)
-    ], engine
-
-
-def assert_bit_equal(gang_out, solo_out, label=""):
-    """Gang lane vs solo macro: *exact* equality, temperatures included.
-
-    The macro↔stepped comparison tolerates 1e-6 °C on temperatures; the
-    gang↔macro contract is stricter — the lane replays the identical
-    float sequence, so even ``peak_dram_temp_c`` and the timeline
-    temperatures must match bit for bit.
-    """
-    rg, sg = gang_out
-    rs, ss = solo_out
+def assert_bit_equal(got, ref, label=""):
+    """*Exact* equality, temperatures and timeline instants included."""
+    rg, sg = got
+    rs, ss = ref
     for field in EXACT_FIELDS:
         assert getattr(rg, field) == getattr(rs, field), (label, field)
     assert rg.peak_dram_temp_c == rs.peak_dram_temp_c, label
-    # Timeline equality pins the *instants*: every sampled time, peak
-    # temperature, PIM rate, and offload fraction along the run.
     assert rg.timeline == rs.timeline, label
     for key in EXACT_COUNTERS:
         assert sg.get(key) == ss.get(key), (label, key)
@@ -94,125 +57,20 @@ def test_gang_matches_macro_and_stepped(policy):
     launch = hot_launch()
     out = run_both(launch, policy)
     assert_equivalent(out)
-    gang, _ = run_as_gang(launch, [(p, COMMODITY_SERVER) for p in POLICY_NAMES])
-    idx = POLICY_NAMES.index(policy)
-    solo = (out["macro"][0], out["macro"][1])
-    assert_bit_equal(gang[idx], solo, label=policy)
-
-
-def test_forced_divergence_one_lane_shuts_down():
-    """One lane rides passive cooling into shutdown while its gang mates
-    run clean: the diverged lane must finish on the per-run path with its
-    solo float sequence intact, without perturbing the clean lanes."""
-    launch = hot_launch(n_epochs=6)
-    members = [
-        ("naive-offloading", PASSIVE),
-        ("coolpim-hw", COMMODITY_SERVER),
-        ("non-offloading", COMMODITY_SERVER),
-    ]
-    gang, engine = run_as_gang(launch, members)
-    assert gang[0][0].shutdowns >= 1, "hot lane must hit the kill switch"
-    assert gang[1][0].shutdowns == 0
-    assert gang[2][0].shutdowns == 0
-    for (policy, cooling), lane_out in zip(members, gang):
-        assert_bit_equal(
-            lane_out, run_solo(launch, policy, cooling=cooling), label=policy
-        )
-
-
-@settings(max_examples=8, deadline=None)
-@given(
-    batches=random_batches,
-    n_lanes=st.integers(min_value=2, max_value=7),
-    seed=st.integers(min_value=0, max_value=2**16),
-)
-def test_gang_property_over_lane_counts(batches, n_lanes, seed):
-    """Seeded randomized traces × lane counts: every lane bit-equals its
-    solo macro run. Lane configs mix the registry policies with seeded
-    static offload fractions, so the gang exercises heterogeneous
-    control-flow divergence (different burst lengths per lane)."""
-    import random
-
-    rng = random.Random(seed)
-    launch = make_launch(batches)
-    members = []
-    for i in range(n_lanes):
-        if rng.random() < 0.5:
-            members.append((rng.choice(POLICY_NAMES), COMMODITY_SERVER))
-        else:
-            fraction = rng.random()
-            members.append(
-                ((lambda f=fraction: StaticFraction(f)), COMMODITY_SERVER)
-            )
-    gang, _ = run_as_gang(launch, members)
-    for (policy, cooling), lane_out in zip(members, gang):
-        assert_bit_equal(
-            lane_out, run_solo(launch, policy, cooling=cooling),
-            label=f"lane{members.index((policy, cooling))}",
-        )
+    gang = run_engine(launch, policy, "gang")
+    assert_bit_equal(gang, out["macro"][:2], label=policy)
 
 
 def test_gang_of_one_is_macro():
-    """A single-lane gang degrades to exactly the per-run macro path."""
-    launch = hot_launch()
-    gang, engine = run_as_gang(launch, [("coolpim-sw", COMMODITY_SERVER)])
-    assert_bit_equal(gang[0], run_solo(launch, "coolpim-sw"), label="solo-gang")
-    assert engine.batched_marches == 0
-
-
-def test_run_gang_workload_entrypoint_matches_facade():
-    """`run_gang` over a real workload equals sequential CoolPimSystem
-    runs, and the member-order contract holds for (policy, cooling)
-    tuples."""
+    """The facade accepts the alias and runs the macro engine."""
     from repro.core import CoolPimSystem
     from repro.graph import get_dataset
     from repro.workloads import get_workload
 
-    graph = get_dataset("ldbc-small")
-    wl = get_workload("pagerank", seed=0)
-    policies = ["non-offloading", "coolpim-hw"]
-    results = run_gang(wl, graph, policies)
-    system = CoolPimSystem(engine="macro")
-    for policy, got in zip(policies, results):
-        ref = system.run(wl, graph, policy)
-        assert got.runtime_s == ref.runtime_s
-        assert got.peak_dram_temp_c == ref.peak_dram_temp_c
-        assert got.thermal_warnings == ref.thermal_warnings
-        assert got.phase_time_s == ref.phase_time_s
-
-
-def test_gang_telemetry_series():
-    """A gang run folds into the ``repro_gang_*`` telemetry series."""
-    from repro.telemetry import get_registry
-
-    reg = get_registry()
-
-    def value(name):
-        return reg.counter(name, "t").value
-
-    before = {
-        name: value(name)
-        for name in (
-            "repro_gang_runs_total",
-            "repro_gang_lanes_total",
-            "repro_gang_rounds_total",
-            "repro_gang_detached_lanes_total",
-        )
-    }
-    launch = hot_launch()
-    _, engine = run_as_gang(
-        launch, [(p, COMMODITY_SERVER) for p in POLICY_NAMES]
+    graph = get_dataset("ldbc-tiny")
+    wl = get_workload("pagerank")
+    got = CoolPimSystem(engine="gang").run(wl, graph, "coolpim-sw")
+    ref = CoolPimSystem(engine="macro").run(wl, graph, "coolpim-sw")
+    assert got.to_dict(include_timeline=True) == ref.to_dict(
+        include_timeline=True
     )
-    assert value("repro_gang_runs_total") == before["repro_gang_runs_total"] + 1
-    assert value("repro_gang_lanes_total") == (
-        before["repro_gang_lanes_total"] + len(POLICY_NAMES)
-    )
-    assert value("repro_gang_rounds_total") >= (
-        before["repro_gang_rounds_total"] + engine.rounds
-    )
-    assert value("repro_gang_detached_lanes_total") == (
-        before["repro_gang_detached_lanes_total"]
-    ), "no lane should permanently detach on a healthy basis"
-    # Mean lane occupancy is a fraction of the gang size by construction.
-    hist = reg.histogram("repro_gang_lane_occupancy", "t").children()[0]
-    assert hist.count >= 1

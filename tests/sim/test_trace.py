@@ -135,3 +135,41 @@ class TestPersistence:
         TraceCursor([OpBatch(1, 1, 1, label="epoch-0")]).save(path)
         loaded = TraceCursor.load(path)
         assert loaded.next().label == "epoch-0"
+
+    def test_multi_thousand_epoch_roundtrip(self, tmp_path):
+        # Loading reads each column once; indexing archive members per
+        # epoch decompressed a whole column per access (quadratic).
+        import time
+
+        batches = [
+            OpBatch(reads=7 * i, writes=i, atomics=3 * i,
+                    atomics_with_return=i, compute_cycles=11 * i,
+                    threads=i % 977 + 1,
+                    divergent_warp_ratio=(i % 101) / 100.0,
+                    label=f"level-{i}/q{i % 128}")
+            for i in range(12_000)
+        ]
+        path = tmp_path / "long.npz"
+        TraceCursor(batches).save(path)
+        t0 = time.perf_counter()
+        loaded = list(TraceCursor.load(path))
+        elapsed = time.perf_counter() - t0
+        assert loaded == batches
+        assert all(type(b.reads) is int and type(b.label) is str
+                   for b in loaded[:3])
+        assert elapsed < 5.0, f"load took {elapsed:.2f} s"
+
+    def test_object_dtype_archive_rejected(self, tmp_path):
+        # Loading must never unpickle: an archive whose labels were saved
+        # as an object array is refused, not executed.
+        import numpy as np
+
+        path = tmp_path / "pickled.npz"
+        cols = {k: np.zeros(1, dtype=np.int64) for k in (
+            "reads", "writes", "atomics", "atomics_with_return",
+            "compute_cycles", "threads")}
+        cols["divergence"] = np.zeros(1)
+        cols["labels"] = np.array(["x"], dtype=object)
+        np.savez(path, **cols)
+        with pytest.raises(ValueError):
+            TraceCursor.load(path)

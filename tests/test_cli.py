@@ -150,6 +150,33 @@ class TestBatchDispatch:
         assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
         assert "removed 1" in capsys.readouterr().out
 
+    def test_cache_commands_cover_traces(self, tmp_path, capsys):
+        """Stats, prune and clear treat ``traces/`` like the results:
+        entries, stale ones (another code fingerprint), and bytes."""
+        import json
+
+        from repro.graph import get_dataset
+        from repro.service import ResultStore
+        from repro.workloads import get_workload
+        from repro.workloads.trace_store import TraceDir, TraceStore, disk_tier
+
+        graph = get_dataset("ldbc-tiny")
+        store = ResultStore(tmp_path)
+        for fingerprint, seed in ((store.fingerprint, 0), ("older-code", 1)):
+            with disk_tier(TraceDir(tmp_path / "traces", fingerprint)):
+                TraceStore().launch(get_workload("dc", seed=seed), graph)
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+        assert "traces    : 2 (1 stale)" in capsys.readouterr().out
+        assert main(["cache", "--json", "--cache-dir", str(tmp_path)]) == 0
+        traces = json.loads(capsys.readouterr().out)["traces"]
+        assert traces["entries"] == 2 and traces["stale_entries"] == 1
+        assert traces["total_bytes"] > 0
+        assert main(["cache", "prune", "--cache-dir", str(tmp_path)]) == 0
+        assert "1 stale trace(s)" in capsys.readouterr().out
+        assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
+        assert "and 1 trace(s)" in capsys.readouterr().out
+        assert not list((tmp_path / "traces").glob("*.npz"))
+
     def test_cache_json_machine_readable(self, tmp_path, capsys):
         import json
 
