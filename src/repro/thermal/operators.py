@@ -22,6 +22,8 @@ spawn start method each worker warms its own cache on first use.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -71,7 +73,8 @@ def get_propagator(
     inputs: np.ndarray,
     fingerprint: Tuple,
 ) -> ReducedPropagator:
-    """Memoized :class:`ReducedPropagator` for one (bundle, dt, basis).
+    """Memoized :class:`ReducedPropagator` for one (bundle, dt, basis),
+    built at most once: concurrent first callers wait for one build.
 
     ``inputs`` are the forcing basis columns (the thermal model's power
     basis plus the ambient boundary vector); ``fingerprint`` must identify
@@ -80,18 +83,39 @@ def get_propagator(
     """
     key = (_dt_key(dt_s), fingerprint)
     prop = ops.propagators.get(key)
-    if prop is None:
-        net = ops.network
-        dram_index = np.concatenate([
-            np.arange(net.num_nodes)[net.layer_slice(idx)]
-            for name, idx in sorted(net.layer_index.items())
-            if name.startswith("dram")
-        ])
-        prop = ReducedPropagator(
-            net, ops.step_lus.get(dt_s), dt_s, inputs, dram_index
-        )
-        ops.propagators[key] = prop
+    if prop is not None:
+        return prop
+    with _propagator_lock:
+        # A thread that waited on the lock finds the first builder's
+        # propagator instead of projecting the same basis again.
+        prop = ops.propagators.get(key)
+        if prop is None:
+            net = ops.network
+            dram_index = np.concatenate([
+                np.arange(net.num_nodes)[net.layer_slice(idx)]
+                for name, idx in sorted(net.layer_index.items())
+                if name.startswith("dram")
+            ])
+            prop = ReducedPropagator(
+                net, ops.step_lus.get(dt_s), dt_s, inputs, dram_index
+            )
+            ops.propagators[key] = prop
     return prop
+
+
+#: Serializes reduced-basis builds (builds are a handful per process, so
+#: one lock for every bundle is enough).
+_propagator_lock = threading.Lock()
+
+
+def _reset_propagator_lock() -> None:
+    # A forked child must not inherit a lock held by a parent thread.
+    global _propagator_lock
+    _propagator_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_propagator_lock)
 
 
 _CACHE: Dict[OperatorKey, ThermalOperators] = {}

@@ -8,6 +8,11 @@ traffic (:class:`repro.sim.trace.OpBatch`): warp-centric kernels fetch
 adjacency lists coalesced (few lines per edge), thread-centric ones pay
 scattered accesses and heavy divergence.
 
+The traversal workloads (BFS, SSSP) run a stream of independent queries;
+:func:`query_block_epochs` splits a run's sources into contiguous query
+blocks, one per CPU, and runs their kernels concurrently (NumPy gathers
+and SciPy's sparse products release the GIL).
+
 The coefficients are the calibration surface of the reproduction: they are
 chosen per benchmark so the simulated baseline bandwidth, naive PIM rates,
 and speedup pattern land on the paper's evaluation (DESIGN.md §5).
@@ -16,8 +21,12 @@ and speedup pattern land on the paper's evaluation (DESIGN.md §5).
 from __future__ import annotations
 
 import abc
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, List, Optional
 
 import numpy as np
 
@@ -100,6 +109,113 @@ class TrafficCoefficients:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0,1], got {v}")
+
+
+#: Upper bound on the (query, vertex) pairs — or candidate edges — one
+#: step of a traversal kernel materializes at once; larger levels are
+#: split into ranges under it. At 2^17 the batched BFS kernel's peak RSS
+#: on ``ldbc`` stays at the per-source kernel's; 2^19 added ~7 MB and
+#: 2^20 ~14 MB for no measurable speed.
+PAIR_BUDGET = 1 << 17
+
+
+def budget_ranges(pairs: np.ndarray, budget: int) -> Iterator[tuple]:
+    """Consecutive ranges ``[lo, hi)`` whose ``pairs`` sum to at most
+    ``budget`` (a single entry may exceed it alone)."""
+    ends = np.cumsum(pairs)
+    lo = 0
+    while lo < pairs.size:
+        start = int(ends[lo - 1]) if lo else 0
+        hi = int(np.searchsorted(ends, start + budget, side="right"))
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
+
+
+# -- query blocks --------------------------------------------------------------
+
+#: A traversal kernel: a block of query sources → int64 counts
+#: ``[step, query, (frontier, edges, atomics, updated)]``, where a
+#: query's rows are zero from the step after its last one.
+BlockKernel = Callable[[np.ndarray], np.ndarray]
+
+_pool: Optional[ThreadPoolExecutor] = None
+_pool_lock = threading.Lock()
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        return os.cpu_count() or 1
+
+
+def query_blocks(sources: np.ndarray) -> List[np.ndarray]:
+    """A run's sources as contiguous blocks, one per CPU this process may
+    run on. A worker of the process scheduler gets one block: its
+    siblings already fill the cores."""
+    count = 1 if multiprocessing.parent_process() is not None \
+        else _usable_cpus()
+    return np.array_split(sources, max(1, min(count, sources.size)))
+
+
+def _block_pool() -> ThreadPoolExecutor:
+    """The process-wide pool that runs query blocks after the first."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(
+                max_workers=max(1, _usable_cpus() - 1),
+                thread_name_prefix="query-block",
+            )
+        return _pool
+
+
+def _forget_pool_in_child() -> None:
+    # A forked child has none of the parent's pool threads.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool_in_child)
+
+
+def run_query_blocks(
+    kernel: BlockKernel, blocks: List[np.ndarray]
+) -> List[np.ndarray]:
+    """``kernel`` over every block: the first on the calling thread (one
+    block never starts a thread), the rest on the block pool."""
+    futures = [_block_pool().submit(kernel, b) for b in blocks[1:]]
+    try:
+        counts = [kernel(blocks[0])]
+    finally:
+        wait(futures)
+    return counts + [f.result() for f in futures]
+
+
+def query_block_epochs(
+    kernel: BlockKernel, sources: np.ndarray, step: str, scanned: int = 0
+) -> Iterator[EpochCounts]:
+    """Epochs of one traversal per source, query-major, labelled
+    ``q{query}-{step}{i}`` with the query's index in ``sources``."""
+    q = 0
+    for counts in run_query_blocks(kernel, query_blocks(sources)):
+        for steps in counts.swapaxes(0, 1):
+            for i, (frontier, edges, atomics, updated) in enumerate(
+                steps.tolist()
+            ):
+                if frontier == 0:
+                    break
+                yield EpochCounts(
+                    label=f"q{q}-{step}{i}",
+                    frontier_vertices=frontier,
+                    scanned_vertices=scanned,
+                    edges_inspected=edges,
+                    atomics=atomics,
+                    updated_vertices=updated,
+                )
+            q += 1
 
 
 #: Instance knobs that set how long a workload runs (query count, passes,

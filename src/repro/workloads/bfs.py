@@ -26,18 +26,28 @@ per-query counts are row sums — frontier sizes, ``deg·F`` edges, and the
 new ``(q, t)`` pairs the visited bitmap lets through. Each level's
 product is split into blocks of queries under a pair budget, which
 bounds its transient memory. Counts stay in integer dtypes throughout, and
-the epochs are emitted query-major, one traversal after another.
+the epochs are emitted query-major, one traversal after another. A run's
+sources are split into query blocks, one per CPU, that run concurrently
+(:func:`~repro.workloads.base.query_block_epochs`).
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.graph.csr import CSRGraph
-from repro.workloads.base import EpochCounts, GraphWorkload, TrafficCoefficients
+from repro.workloads import base
+from repro.workloads.base import (
+    EpochCounts,
+    GraphWorkload,
+    TrafficCoefficients,
+    budget_ranges,
+    query_block_epochs,
+)
 
 
 def bfs_depths(graph: CSRGraph, source: int) -> np.ndarray:
@@ -65,14 +75,6 @@ def pick_sources(graph: CSRGraph, count: int, seed: int) -> np.ndarray:
     return rng.choice(candidates, size=min(count, candidates.size), replace=False)
 
 
-#: Upper bound on the (query, vertex) pairs one frontier product may
-#: produce; larger levels are split into blocks of consecutive queries.
-#: At 2^17 the batched kernel's peak RSS on ``ldbc`` stays at the
-#: per-source kernel's; 2^19 added ~7 MB and 2^20 ~14 MB for no
-#: measurable speed.
-PAIR_BUDGET = 1 << 17
-
-
 def adjacency_matrix(graph: CSRGraph) -> sp.csr_matrix:
     """``A`` with an int32 one per edge. Product entries count edges into a
     vertex, bounded by the edge count, so int32 keeps them exact."""
@@ -94,19 +96,6 @@ def frontier_matrix(
         (np.ones(vertices.size, dtype=np.int32), vertices, indptr),
         shape=(indptr.size - 1, num_vertices),
     )
-
-
-def _query_blocks(pairs: np.ndarray, budget: int) -> Iterator[tuple]:
-    """Consecutive query ranges ``[lo, hi)`` whose ``pairs`` sum to at most
-    ``budget`` (a single query may exceed it alone)."""
-    ends = np.cumsum(pairs)
-    lo = 0
-    while lo < pairs.size:
-        start = int(ends[lo - 1]) if lo else 0
-        hi = int(np.searchsorted(ends, start + budget, side="right"))
-        hi = max(hi, lo + 1)
-        yield lo, hi
-        lo = hi
 
 
 def bfs_level_counts_batched(
@@ -135,7 +124,8 @@ def bfs_level_counts_batched(
         atomics = np.zeros(nq, dtype=np.int64) if count_unvisited else edges
         updated = np.zeros(nq, dtype=np.int64)
         reached = []
-        for lo, hi in _query_blocks(np.minimum(edges, n), PAIR_BUDGET):
+        for lo, hi in budget_ranges(np.minimum(edges, n),
+                                   base.PAIR_BUDGET):
             block = frontier_matrix(indptr[lo:hi + 1] - indptr[lo],
                                     vertices[indptr[lo]:indptr[hi]], n)
             # Entry (q, t): query q's frontier edges into t.
@@ -174,24 +164,10 @@ class _BfsBase(GraphWorkload):
         self, graph: CSRGraph, sources: np.ndarray
     ) -> Iterator[EpochCounts]:
         """Epochs of one traversal per source, query-major."""
-        count_unvisited = self.atomic_mode != "edge"
-        counts = bfs_level_counts_batched(graph, sources, count_unvisited)
-        per_query = counts.swapaxes(0, 1)
+        kernel = partial(bfs_level_counts_batched, graph,
+                         count_unvisited=self.atomic_mode != "edge")
         scanned = graph.num_vertices if self.topological else 0
-        for q, levels in enumerate(per_query):
-            for level, (frontier, edges, atomics, updated) in enumerate(
-                levels.tolist()
-            ):
-                if frontier == 0:
-                    break
-                yield EpochCounts(
-                    label=f"q{q}-level{level}",
-                    frontier_vertices=frontier,
-                    scanned_vertices=scanned,
-                    edges_inspected=edges,
-                    atomics=atomics,
-                    updated_vertices=updated,
-                )
+        return query_block_epochs(kernel, sources, "level", scanned)
 
     def reference(self, graph: CSRGraph) -> np.ndarray:
         sources = pick_sources(graph, self.num_sources, self.seed)

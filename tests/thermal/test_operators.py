@@ -92,3 +92,39 @@ class TestModelSharing:
         t = TrafficPoint.streaming(240.0)
         settled = model.settle(t, dt_s=1e-3, tol_c=1e-6)
         assert settled == pytest.approx(model.steady_peak_dram_c(t), abs=0.1)
+
+
+class TestPropagatorSingleFlight:
+    def test_racing_threads_share_one_build(self, monkeypatch):
+        """Two threads asking a cold bundle for the same propagator get
+        one object from one construction."""
+        import threading
+        import time
+
+        built = []
+        real = operators.ReducedPropagator
+
+        def slow_build(*args, **kwargs):
+            built.append(threading.current_thread().name)
+            time.sleep(0.05)  # widen the window a second builder would hit
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(operators, "ReducedPropagator", slow_build)
+        models = [HmcThermalModel(), HmcThermalModel()]
+        barrier = threading.Barrier(len(models))
+        got = [None] * len(models)
+
+        def ask(i):
+            barrier.wait(timeout=10)
+            got[i] = models[i].propagator(25e-6)
+
+        threads = [threading.Thread(target=ask, args=(i,))
+                   for i in range(len(models))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert got[0] is not None and got[0] is got[1]
+        assert len(built) == 1
+        assert operators.cache_stats()["propagators"] == 1

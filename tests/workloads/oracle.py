@@ -1,7 +1,8 @@
 """Reference trace kernels: one traversal at a time, deduped by np.unique.
 
 These are the straightforward per-source loops the production kernels in
-:mod:`repro.workloads.bfs` and :mod:`repro.workloads.sssp` replace. They
+:mod:`repro.workloads.bfs` and :mod:`repro.workloads.sssp` replace: no
+batching across queries, no query blocks, no chunking. They
 define the contract: every production kernel must emit exactly the
 :class:`EpochCounts` these do, in the same order, with the same labels.
 """
@@ -54,10 +55,12 @@ def bfs_epochs(
 
 
 def sssp_data_driven_epochs(
-    workload: _SsspDataDriven, graph: CSRGraph
+    workload: _SsspDataDriven, graph: CSRGraph,
+    sources: Optional[np.ndarray] = None,
 ) -> List[EpochCounts]:
     out = []
-    sources = pick_sources(graph, workload.num_sources, workload.seed)
+    if sources is None:
+        sources = pick_sources(graph, workload.num_sources, workload.seed)
     for q, source in enumerate(sources):
         dist = np.full(graph.num_vertices, np.inf)
         dist[int(source)] = 0.0
@@ -81,11 +84,14 @@ def sssp_data_driven_epochs(
     return out
 
 
-def sssp_twc_epochs(workload: SsspTwc, graph: CSRGraph) -> List[EpochCounts]:
+def sssp_twc_epochs(
+    workload: SsspTwc, graph: CSRGraph, sources: Optional[np.ndarray] = None
+) -> List[EpochCounts]:
     out = []
     n = graph.num_vertices
     all_vertices = np.arange(n, dtype=np.int64)
-    sources = pick_sources(graph, workload.num_sources, workload.seed)
+    if sources is None:
+        sources = pick_sources(graph, workload.num_sources, workload.seed)
     for q, source in enumerate(sources):
         dist = np.full(n, np.inf)
         dist[int(source)] = 0.0
@@ -112,12 +118,16 @@ def sssp_twc_epochs(workload: SsspTwc, graph: CSRGraph) -> List[EpochCounts]:
     return out
 
 
-def oracle_epochs(workload: GraphWorkload, graph: CSRGraph) -> List[EpochCounts]:
-    """The reference epoch list of any traversal workload."""
+def oracle_epochs(
+    workload: GraphWorkload, graph: CSRGraph,
+    sources: Optional[np.ndarray] = None,
+) -> List[EpochCounts]:
+    """The reference epoch list of any traversal workload (over the
+    workload's own sources unless ``sources`` are given)."""
     if isinstance(workload, _BfsBase):
-        return bfs_epochs(workload, graph)
+        return bfs_epochs(workload, graph, sources)
     if isinstance(workload, _SsspDataDriven):
-        return sssp_data_driven_epochs(workload, graph)
+        return sssp_data_driven_epochs(workload, graph, sources)
     if isinstance(workload, SsspTwc):
-        return sssp_twc_epochs(workload, graph)
+        return sssp_twc_epochs(workload, graph, sources)
     raise TypeError(f"no oracle for {workload.name}")
