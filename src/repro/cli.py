@@ -20,7 +20,7 @@ runs the async HTTP API (:mod:`repro.api`, see ``docs/SERVICE.md``).
 Observability (see ``docs/OBSERVABILITY.md``)::
 
     python -m repro trace pagerank --dataset ldbc-small --quick -o trace.json
-    python -m repro report trace.json --require engine,core,thermal,scheduler
+    python -m repro report trace.json --require workload,core,thermal,scheduler
     python -m repro report trace.metrics.json
     python -m repro report trace.manifest.json
 
@@ -326,9 +326,7 @@ def cmd_trace(args) -> int:
             return 1
         payload = next(iter(report.results.values())).payload
         timeline = payload["result"].get("timeline") or []
-        # The flow-model simulators don't use the event engine directly;
-        # replaying the sampled timeline through it produces the engine
-        # spans and the sim-clock counter tracks.
+        # The sampled timeline becomes the sim-clock counter tracks.
         replay_timeline(timeline, tracer=tracer)
         records = tracer.records
     wall_s = time.perf_counter() - wall0
@@ -519,11 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="re-execute everything, ignoring cached results")
     batch_p.add_argument("--out", default=None, metavar="DIR",
                          help="also write each experiment's output to DIR")
-    batch_p.add_argument("--engine", default=None,
-                         choices=["macro", "gang"],
-                         help="accepted for compatibility: sweeps "
-                              "always run on the macro engine ('gang' is "
-                              "an alias of it)")
 
     cache_p = sub.add_parser("cache", help="inspect or clear the result cache")
     cache_p.add_argument(

@@ -182,11 +182,6 @@ def main(argv: list[str] | None = None) -> int:
         "--no-cache", action="store_true",
         help="with --jobs: re-execute everything, ignoring cached results",
     )
-    parser.add_argument(
-        "--engine", default=None, choices=["macro", "gang"],
-        help="accepted for compatibility: sweeps always run on the macro "
-             "engine ('gang' is an alias of it)",
-    )
     args = parser.parse_args(argv)
     scale = (
         RunScale.quick(seed=args.seed) if args.quick

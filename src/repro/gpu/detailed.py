@@ -234,7 +234,7 @@ class DetailedSimulator:
             fraction = policy.pim_fraction(now_ns * 1e-9)
             demand = self.cache.demand(traffic, fraction)
             codes, addrs, is_host = self._epoch_stream(rng, demand, batch.threads)
-            batch_hist.add(float(codes.size))
+            batch_hist.observe(codes.size)
 
             # Open-loop issue: the GPU's memory-level parallelism keeps the
             # links fed, so every transaction of the epoch is offered at

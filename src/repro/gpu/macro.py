@@ -337,14 +337,14 @@ class MacroEngine:
             scen.finish()
         if self.now_s > 0.0:
             self.frac_tw.update(self.frac_tw.value, self.now_s)
-        stats.counter("epochs").add(self.epochs)
-        stats.counter("control_steps").add(self.control_steps)
-        stats.counter("thermal_solver_steps").add(self.thermal_steps)
-        stats.counter("thermal_warnings").add(self.warnings)
-        stats.counter("shutdowns").add(self.shutdowns)
-        stats.counter("pim_ops").add(self.pim_ops_total)
-        stats.counter("host_atomics").add(self.host_atomics_total)
-        stats.counter("host_atomics_assigned").add(self.host_assigned_total)
+        stats.counter("epochs").inc(self.epochs)
+        stats.counter("control_steps").inc(self.control_steps)
+        stats.counter("thermal_solver_steps").inc(self.thermal_steps)
+        stats.counter("thermal_warnings").inc(self.warnings)
+        stats.counter("shutdowns").inc(self.shutdowns)
+        stats.counter("pim_ops").inc(self.pim_ops_total)
+        stats.counter("host_atomics").inc(self.host_atomics_total)
+        stats.counter("host_atomics_assigned").inc(self.host_assigned_total)
         if self.traced:
             self.tracer.complete(
                 "sim.run", wall_t0, _time.perf_counter(), cat="sim",
@@ -511,7 +511,7 @@ class MacroEngine:
         self.phase_time[phase.name] += dt_ns * 1e-9
         self.now_s += dt_ns * 1e-9
         self.control_steps += 1
-        self.dt_hist.add(dt_ns)
+        self.dt_hist.observe(dt_ns)
 
         if self.now_s >= self.next_sample:
             self.timeline.append((self.now_s, temp_c, pim_rate, fraction))
@@ -1015,7 +1015,7 @@ class MacroEngine:
         self.last_temp_c = float(temps[j - 1])
         if fraction != self.frac_tw.value:
             self.frac_tw.update(fraction, b.t0)
-        self.dt_hist.add_many(np.asarray(cols[0][:j]))
+        self.dt_hist.observe_many(np.asarray(cols[0][:j]))
 
         fs = flow.stats
         fs.pim_ops += sp_sum + spr_sum
@@ -1063,7 +1063,7 @@ class MacroEngine:
         if not self._epoch_pending():
             self._close_epoch(self.now_s)
 
-        self.burst_hist.add(float(j))
+        self.burst_hist.observe(j)
         if traced:
             self.tracer.complete(
                 "sim.macro_burst", b.wall_b0, _time.perf_counter(),

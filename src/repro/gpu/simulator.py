@@ -553,7 +553,7 @@ class SystemSimulator:
                 phase_time[phase.name] += dt_ns * 1e-9
                 now_s += dt_ns * 1e-9
                 control_steps += 1
-                dt_hist.add(dt_ns)
+                dt_hist.observe(dt_ns)
 
                 if now_s >= next_sample:
                     timeline.append((now_s, temp_c, pim_rate, fraction))
@@ -597,14 +597,14 @@ class SystemSimulator:
         # covers the full run.
         if now_s > 0.0:
             frac_tw.update(frac_tw.value, now_s)
-        stats.counter("epochs").add(epochs)
-        stats.counter("control_steps").add(control_steps)
-        stats.counter("thermal_solver_steps").add(thermal_steps)
-        stats.counter("thermal_warnings").add(warnings)
-        stats.counter("shutdowns").add(shutdowns)
-        stats.counter("pim_ops").add(pim_ops_total)
-        stats.counter("host_atomics").add(host_atomics_total)
-        stats.counter("host_atomics_assigned").add(host_assigned_total)
+        stats.counter("epochs").inc(epochs)
+        stats.counter("control_steps").inc(control_steps)
+        stats.counter("thermal_solver_steps").inc(thermal_steps)
+        stats.counter("thermal_warnings").inc(warnings)
+        stats.counter("shutdowns").inc(shutdowns)
+        stats.counter("pim_ops").inc(pim_ops_total)
+        stats.counter("host_atomics").inc(host_atomics_total)
+        stats.counter("host_atomics_assigned").inc(host_assigned_total)
         if traced:
             tracer.complete(
                 "sim.run", wall_t0, _time.perf_counter(), cat="sim",

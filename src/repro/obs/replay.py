@@ -1,19 +1,10 @@
-"""Replay a simulation timeline through the discrete-event engine.
+"""Sim-clock counter tracks from a finished simulation timeline.
 
-The production cube/flow simulators advance time with closed-form
-arithmetic rather than the :class:`repro.sim.engine.EventEngine`, so a
-traced run would otherwise contain no engine-layer spans. ``repro
-trace`` closes that gap: after the simulation finishes, its sampled
-timeline (``SimulationResult.timeline`` — ``(time_s, temp_c, pim_rate,
-pim_fraction)`` tuples) is replayed as real scheduled events through an
-``EventEngine`` with tracing live. This exercises the instrumented
-``engine.run`` loop (producing the ``engine`` span + queue-depth
-counters on the wall clock) and emits the temperature / PIM-rate /
-offload-fraction tracks on the **sim clock** lane, timestamped in
-simulated microseconds.
-
-The engine import is deferred to call time: ``repro.obs`` is imported by
-``repro.sim.engine`` itself, so a module-level import would be circular.
+A run's sampled timeline (``SimulationResult.timeline`` — ``(time_s,
+temp_c, pim_rate, pim_fraction)`` tuples) becomes the temperature /
+PIM-rate / offload-fraction tracks on the **sim clock** lane of a trace,
+timestamped in simulated microseconds. ``repro trace`` and the API's
+trace artifact both call :func:`replay_timeline` after the run finishes.
 """
 
 from __future__ import annotations
@@ -29,25 +20,19 @@ def replay_timeline(
     timeline: Sequence[TimelineRow],
     tracer: Optional[Tracer] = None,
 ) -> Dict[str, float]:
-    """Schedule each timeline sample as an engine event and run it.
+    """Emit one sample per timeline row on each sim-clock track.
 
     Returns ``{"events": n, "sim_span_s": t}``. With tracing enabled,
-    the run leaves behind one ``engine.run`` span plus per-sample
-    sim-clock counter tracks (``sim.temp_c``, ``sim.pim_rate``,
-    ``sim.pim_fraction``).
+    every row leaves one ``sim.temp_c``, ``sim.pim_rate_ops_ns`` and
+    ``sim.pim_fraction`` counter sample at its simulated time.
     """
-    from repro.sim.engine import EventEngine
-
     # Explicit None check: Tracer defines __len__, so an empty tracer is
     # falsy and ``tracer or get_tracer()`` would silently drop it.
     tr = tracer if tracer is not None else get_tracer()
-    engine = EventEngine()
-    if tracer is not None:
-        engine.set_tracer(tracer)
-
-    def emit(row: TimelineRow) -> None:
-        time_s, temp_c, pim_rate, fraction = row
+    last_ns = 0.0
+    for time_s, temp_c, pim_rate, fraction in timeline:
         sim_ns = time_s * 1e9
+        last_ns = max(last_ns, sim_ns)
         tr.counter("sim.temp_c", temp_c, cat="sim", sim_time_ns=sim_ns, clock="sim")
         tr.counter(
             "sim.pim_rate_ops_ns", pim_rate, cat="sim", sim_time_ns=sim_ns, clock="sim"
@@ -55,11 +40,4 @@ def replay_timeline(
         tr.counter(
             "sim.pim_fraction", fraction, cat="sim", sim_time_ns=sim_ns, clock="sim"
         )
-
-    last_ns = 0.0
-    for row in timeline:
-        t_ns = max(0.0, row[0] * 1e9)
-        last_ns = max(last_ns, t_ns)
-        engine.schedule(t_ns, lambda r=row: emit(r))
-    processed = engine.run(until=last_ns)
-    return {"events": float(processed), "sim_span_s": last_ns / 1e9}
+    return {"events": float(len(timeline)), "sim_span_s": last_ns / 1e9}

@@ -86,27 +86,6 @@ class OpBatch:
         )
 
 
-def merge_batches(batches: Sequence[OpBatch], label: str = "") -> OpBatch:
-    """Sum a sequence of batches into one (divergence is thread-weighted)."""
-    if not batches:
-        return OpBatch(0, 0, 0, label=label)
-    threads = sum(b.threads for b in batches)
-    if threads > 0:
-        div = sum(b.divergent_warp_ratio * b.threads for b in batches) / threads
-    else:
-        div = sum(b.divergent_warp_ratio for b in batches) / len(batches)
-    return OpBatch(
-        reads=sum(b.reads for b in batches),
-        writes=sum(b.writes for b in batches),
-        atomics=sum(b.atomics for b in batches),
-        atomics_with_return=sum(b.atomics_with_return for b in batches),
-        compute_cycles=sum(b.compute_cycles for b in batches),
-        threads=threads,
-        divergent_warp_ratio=div,
-        label=label,
-    )
-
-
 class TraceCursor:
     """Replayable iterator over a workload's epoch trace.
 
@@ -159,8 +138,26 @@ class TraceCursor:
         self._pos = position
 
     def totals(self) -> OpBatch:
-        """Aggregate over the full trace (ignores cursor position)."""
-        return merge_batches(self._batches, label="totals")
+        """Sum of every epoch (ignores cursor position); divergence is
+        thread-weighted."""
+        batches = self._batches
+        if not batches:
+            return OpBatch(0, 0, 0, label="totals")
+        threads = sum(b.threads for b in batches)
+        if threads > 0:
+            div = sum(b.divergent_warp_ratio * b.threads for b in batches) / threads
+        else:
+            div = sum(b.divergent_warp_ratio for b in batches) / len(batches)
+        return OpBatch(
+            reads=sum(b.reads for b in batches),
+            writes=sum(b.writes for b in batches),
+            atomics=sum(b.atomics for b in batches),
+            atomics_with_return=sum(b.atomics_with_return for b in batches),
+            compute_cycles=sum(b.compute_cycles for b in batches),
+            threads=threads,
+            divergent_warp_ratio=div,
+            label="totals",
+        )
 
     # -- persistence ----------------------------------------------------------
 

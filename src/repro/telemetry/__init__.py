@@ -3,8 +3,9 @@
 Three layers, one package:
 
 - :mod:`repro.telemetry.registry` — label-aware process-wide time-series
-  metrics (counters, gauges, histograms with bounded sample rings) with
-  a worker→parent delta pipe for forked job pools.
+  metrics (counters, gauges, bucket histograms) with a worker→parent
+  delta pipe for forked job pools; its counters and histograms are also
+  the per-run primitives of :class:`repro.sim.stats.StatRegistry`.
 - :mod:`repro.telemetry.exposition` — Prometheus text exposition
   encoder + validating parser (the ``GET /metrics`` scrape format).
 - :mod:`repro.telemetry.live` — bounded in-flight run telemetry: the

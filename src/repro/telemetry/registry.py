@@ -24,16 +24,16 @@ Design constraints, in the spirit of the tracer's NULL_SPAN fast path
   them into its own series (:meth:`TelemetryRegistry.merge`), so
   ``/metrics`` covers the whole worker fleet.
 
-Histograms keep both Prometheus-style cumulative bucket counts *and* a
-bounded ring buffer of recent raw samples, so quantile estimates
-(:meth:`Histogram.percentile`) stay sharp without unbounded memory.
+:class:`Counter` and :class:`Histogram` are also the per-run primitives
+of :class:`repro.sim.stats.StatRegistry`, so the run snapshot and the
+Prometheus encoder read the same objects.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
-from typing import Any, Deque, Dict, Iterable, List, Mapping, Optional, Tuple
+from bisect import bisect_left
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 #: Schema identifier stamped on flushed delta documents.
 DELTA_SCHEMA_ID = "repro.telemetry-delta/1"
@@ -43,9 +43,6 @@ DELTA_SCHEMA_ID = "repro.telemetry-delta/1"
 DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
 )
-
-#: Bound on the raw-sample ring buffer per histogram child.
-DEFAULT_SAMPLE_WINDOW = 256
 
 
 def _label_items(
@@ -75,6 +72,11 @@ class Counter:
             raise ValueError(f"counter increments must be >= 0: {amount}")
         self.value += amount
 
+    def reset(self) -> None:
+        """Back to zero (per-run registries reuse one counter per run)."""
+        self.value = 0.0
+        self._flushed = 0.0
+
     def _delta(self) -> float:
         delta = self.value - self._flushed
         self._flushed = self.value
@@ -102,13 +104,11 @@ class Gauge:
 
 
 class Histogram:
-    """Cumulative-bucket histogram plus a bounded sample ring.
+    """Cumulative-bucket histogram.
 
-    ``bounds`` are the inclusive upper edges of the finite buckets; one
-    implicit ``+Inf`` bucket catches the overflow. ``percentile`` is
-    estimated from the raw-sample ring (the most recent
-    ``sample_window`` observations) and returns ``None`` on an empty
-    histogram — degenerate series render as ``n=0``, they never raise.
+    ``bounds`` are the inclusive upper edges of the finite buckets (the
+    Prometheus ``le`` rule: a sample equal to a bound counts in that
+    bound's bucket); one implicit ``+Inf`` bucket catches the overflow.
     """
 
     kind = "histogram"
@@ -118,7 +118,6 @@ class Histogram:
         name: str,
         labels: Tuple[Tuple[str, str], ...] = (),
         bounds: Tuple[float, ...] = DEFAULT_BUCKETS,
-        sample_window: int = DEFAULT_SAMPLE_WINDOW,
     ):
         if not bounds or list(bounds) != sorted(bounds):
             raise ValueError(f"bucket bounds must be sorted and non-empty: {bounds}")
@@ -129,34 +128,71 @@ class Histogram:
         self.counts = [0] * (len(self.bounds) + 1)
         self.sum = 0.0
         self.count = 0
-        self.samples: Deque[float] = deque(maxlen=sample_window)
         self._flushed_counts = [0] * (len(self.bounds) + 1)
         self._flushed_sum = 0.0
 
     def observe(self, value: float) -> None:
         value = float(value)
-        idx = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                idx = i
-                break
-        self.counts[idx] += 1
+        self.counts[bisect_left(self.bounds, value)] += 1
         self.sum += value
         self.count += 1
-        self.samples.append(value)
+
+    def observe_many(self, values) -> None:
+        """Observe every sample of ``values`` (one vectorized fill).
+
+        Bucket counts equal a loop of :meth:`observe`; ``sum`` is a
+        vectorized sum, so its rounding may differ by ULPs. The macro
+        engine records thousands of control steps per burst this way.
+        """
+        import numpy as np
+
+        xs = np.asarray(values, dtype=float)
+        if xs.size == 0:
+            return
+        idx = np.searchsorted(self.bounds, xs, side="left")
+        filled = np.bincount(idx, minlength=len(self.counts))
+        for i in np.flatnonzero(filled):
+            self.counts[i] += int(filled[i])
+        self.sum += float(xs.sum())
+        self.count += int(xs.size)
+
+    @property
+    def mean(self) -> float:
+        return self.sum / self.count if self.count else 0.0
+
+    def reset(self) -> None:
+        self.counts = [0] * len(self.counts)
+        self.sum = 0.0
+        self.count = 0
+        self._flushed_counts = [0] * len(self.counts)
+        self._flushed_sum = 0.0
 
     def percentile(self, q: float) -> Optional[float]:
-        """q-th percentile (0..100) of the ring samples; None when empty."""
+        """Estimate the ``q``-th percentile (``0 <= q <= 100``).
+
+        Walks the cumulative bucket counts and interpolates linearly
+        inside the containing bucket. Samples at or below the first
+        bound count as sitting on it, samples above the last bound as
+        sitting on that one, so the estimate is clamped to the bounds.
+        Returns ``None`` for an empty histogram (degenerate series render
+        as ``n=0``, they never raise); raises :class:`ValueError` only for
+        ``q`` out of range.
+        """
         if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100]: {q}")
-        if not self.samples:
+            raise ValueError(f"percentile out of [0, 100]: {q}")
+        if self.count == 0:
             return None
-        ordered = sorted(self.samples)
-        rank = q / 100.0 * (len(ordered) - 1)
-        lo = int(rank)
-        hi = min(lo + 1, len(ordered) - 1)
-        frac = rank - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+        target = q / 100.0 * self.count
+        cum = self.counts[0]
+        if target <= cum:
+            return self.bounds[0]
+        for i in range(1, len(self.bounds)):
+            n = self.counts[i]
+            if n and target <= cum + n:
+                lo, hi = self.bounds[i - 1], self.bounds[i]
+                return lo + (target - cum) / n * (hi - lo)
+            cum += n
+        return self.bounds[-1]
 
     def cumulative_counts(self) -> List[int]:
         """Prometheus ``le`` buckets: running totals incl. ``+Inf``."""
@@ -175,7 +211,6 @@ class Histogram:
             "bounds": list(self.bounds),
             "counts": counts,
             "sum": self.sum - self._flushed_sum,
-            "samples": list(self.samples)[-sum(counts):],
         }
         self._flushed_counts = list(self.counts)
         self._flushed_sum = self.sum
@@ -190,8 +225,6 @@ class Histogram:
             self.counts[i] += int(c)
         self.sum += float(delta["sum"])
         self.count += int(sum(delta["counts"]))
-        for s in delta.get("samples", ()):
-            self.samples.append(float(s))
 
 
 _CHILD_TYPES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
@@ -293,11 +326,9 @@ class TelemetryRegistry:
         help: str = "",
         labelnames: Iterable[str] = (),
         buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
-        sample_window: int = DEFAULT_SAMPLE_WINDOW,
     ) -> MetricFamily:
         return self._family(
-            "histogram", name, help, labelnames,
-            bounds=tuple(buckets), sample_window=sample_window,
+            "histogram", name, help, labelnames, bounds=tuple(buckets),
         )
 
     def families(self) -> List[MetricFamily]:
@@ -308,27 +339,6 @@ class TelemetryRegistry:
         """Drop every family (test isolation)."""
         with self._lock:
             self._families.clear()
-
-    # -- snapshots ---------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        """JSON-friendly dump of every series (admin/debug surface)."""
-        out: Dict[str, Any] = {}
-        for fam in self.families():
-            series = []
-            for child in fam.children():
-                entry: Dict[str, Any] = {"labels": dict(child.labels)}
-                if fam.kind == "histogram":
-                    entry.update(
-                        count=child.count, sum=child.sum,
-                        p50=child.percentile(50), p99=child.percentile(99),
-                    )
-                else:
-                    entry["value"] = child.value
-                series.append(entry)
-            out[fam.name] = {"type": fam.kind, "help": fam.help,
-                             "series": series}
-        return out
 
     # -- worker → parent delta pipe ---------------------------------------
 

@@ -47,6 +47,7 @@ import numpy as np
 from repro.gpu.config import GPU_DEFAULT, GpuConfig
 from repro.gpu.kernel import KernelLaunch
 from repro.graph.csr import CSRGraph
+from repro.obs.tracer import get_tracer
 from repro.sim.trace import (
     OpBatch,
     TraceCursor,
@@ -295,17 +296,20 @@ class TraceStore:
         gpu: GpuConfig,
     ) -> StoredTrace:
         """Load ``key`` from the disk tier or generate it; cache it."""
-        trace_dir = _DISK.get()
-        trace = trace_dir.load(key) if trace_dir is not None else None
-        _record("disk" if trace is not None else None)
-        if trace is None:
-            launch = workload.launch(graph, gpu)
-            trace = StoredTrace(
-                name=launch.name, batches=tuple(launch.trace),
-                total_threads=launch.total_threads, config=launch.config,
-            )
-            if trace_dir is not None:
-                trace_dir.save(key, trace)
+        with get_tracer().span("workload.trace", cat="workload") as span:
+            trace_dir = _DISK.get()
+            trace = trace_dir.load(key) if trace_dir is not None else None
+            _record("disk" if trace is not None else None)
+            tier = "disk" if trace is not None else "generated"
+            if trace is None:
+                launch = workload.launch(graph, gpu)
+                trace = StoredTrace(
+                    name=launch.name, batches=tuple(launch.trace),
+                    total_threads=launch.total_threads, config=launch.config,
+                )
+                if trace_dir is not None:
+                    trace_dir.save(key, trace)
+            span.set(tier=tier, epochs=len(trace.batches))
         with self._guard:
             self._entries[key] = trace
             while len(self._entries) > MAX_ENTRIES:

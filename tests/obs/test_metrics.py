@@ -15,10 +15,10 @@ from repro.sim.stats import StatRegistry
 
 def _registry():
     reg = StatRegistry()
-    reg.counter("sim.epochs").add(4)
+    reg.counter("sim.epochs").inc(4)
     h = reg.histogram("sim.dt_ns", 0.0, 100.0, 10)
     for x in (10.0, 20.0, 30.0):
-        h.add(x)
+        h.observe(x)
     tw = reg.time_weighted("sim.frac", initial=0.0)
     tw.update(1.0, now=2.0)
     return reg

@@ -1,53 +1,41 @@
-"""Statistics: counters, running means, time-weighted stats, histograms."""
+"""Per-run statistics: the registry, its counters and histograms, and
+time-weighted stats.
 
-import math
+Counters and histograms are the :mod:`repro.telemetry.registry`
+primitives; these tests reach them the way the simulators do, through
+:class:`StatRegistry`.
+"""
 
 import pytest
 
-from repro.sim.stats import (
-    Counter,
-    Histogram,
-    RunningMean,
-    StatRegistry,
-    TimeWeightedStat,
-)
+import repro.sim.stats as sim_stats
+import repro.telemetry.registry as telemetry_registry
+from repro.sim.stats import StatRegistry, TimeWeightedStat
+
+
+def test_stats_defines_no_counter_or_histogram_of_its_own():
+    own = {
+        name for name, obj in vars(sim_stats).items()
+        if isinstance(obj, type) and obj.__module__ == sim_stats.__name__
+    }
+    assert own == {"StatRegistry", "TimeWeightedStat"}
+    reg = StatRegistry()
+    assert type(reg.counter("c")) is telemetry_registry.Counter
+    assert type(reg.histogram("h", 0.0, 1.0, 2)) is telemetry_registry.Histogram
 
 
 class TestCounter:
     def test_accumulates(self):
-        c = Counter("x")
-        c.add()
-        c.add(4.0)
+        c = StatRegistry().counter("x")
+        c.inc()
+        c.inc(4.0)
         assert c.value == 5.0
 
     def test_reset(self):
-        c = Counter()
-        c.add(3)
+        c = StatRegistry().counter("x")
+        c.inc(3)
         c.reset()
         assert c.value == 0.0
-
-
-class TestRunningMean:
-    def test_mean_and_extremes(self):
-        rm = RunningMean()
-        for x in [1.0, 2.0, 3.0, 4.0]:
-            rm.add(x)
-        assert rm.mean == pytest.approx(2.5)
-        assert rm.min == 1.0 and rm.max == 4.0
-
-    def test_variance_matches_sample_variance(self):
-        rm = RunningMean()
-        data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-        for x in data:
-            rm.add(x)
-        mean = sum(data) / len(data)
-        var = sum((x - mean) ** 2 for x in data) / (len(data) - 1)
-        assert rm.variance == pytest.approx(var)
-        assert rm.stddev == pytest.approx(math.sqrt(var))
-
-    def test_empty_mean_is_zero(self):
-        assert RunningMean().mean == 0.0
-        assert RunningMean().variance == 0.0
 
 
 class TestTimeWeighted:
@@ -101,78 +89,95 @@ class TestTimeWeighted:
 
 
 class TestHistogram:
+    """``histogram(name, lo, hi, nbins)`` has the ``nbins + 1`` bounds
+    ``lo, lo + w, ..., hi``: ``counts[0]`` holds samples ``<= lo``
+    (underflow), ``counts[i]`` samples in ``(bounds[i-1], bounds[i]]``,
+    ``counts[-1]`` samples ``> hi`` (overflow)."""
+
+    @staticmethod
+    def _hist(lo, hi, nbins):
+        return StatRegistry().histogram("h", lo, hi, nbins)
+
     def test_bin_placement(self):
-        h = Histogram("h", lo=0.0, hi=10.0, nbins=10)
+        h = self._hist(0.0, 10.0, 10)
         for x in [0.5, 1.5, 9.9]:
-            h.add(x)
-        assert h.bins[0] == 1 and h.bins[1] == 1 and h.bins[9] == 1
+            h.observe(x)
+        assert h.counts[1] == 1 and h.counts[2] == 1 and h.counts[10] == 1
+        # A sample on a bound counts in the bucket that bound closes.
+        h.observe(1.0)
+        assert h.counts[1] == 2
 
     def test_under_and_overflow(self):
-        h = Histogram("h", 0.0, 1.0, 4)
-        h.add(-0.1)
-        h.add(1.0)  # hi is exclusive
-        assert h.underflow == 1 and h.overflow == 1
+        reg = StatRegistry()
+        h = reg.histogram("h", 0.0, 1.0, 4)
+        for x in (-0.1, 0.0, 1.0, 1.5):
+            h.observe(x)
+        snap = reg.snapshot(structured=True)["h"]
+        # lo itself is underflow; hi is the last finite bucket's bound.
+        assert snap["underflow"] == 2 and snap["overflow"] == 1
+        assert h.counts[4] == 1
+        assert (snap["lo"], snap["hi"]) == (0.0, 1.0)
 
     def test_mean(self):
-        h = Histogram("h", 0.0, 10.0, 5)
-        h.add(2.0)
-        h.add(4.0)
+        h = self._hist(0.0, 10.0, 5)
+        h.observe(2.0)
+        h.observe(4.0)
         assert h.mean == pytest.approx(3.0)
 
     def test_bin_edges(self):
-        h = Histogram("h", 0.0, 1.0, 2)
-        assert h.bin_edges() == pytest.approx([0.0, 0.5, 1.0])
+        assert self._hist(0.0, 1.0, 2).bounds == pytest.approx((0.0, 0.5, 1.0))
 
     def test_invalid_ranges(self):
         with pytest.raises(ValueError):
-            Histogram("h", 1.0, 1.0, 4)
+            self._hist(1.0, 1.0, 4)
         with pytest.raises(ValueError):
-            Histogram("h", 0.0, 1.0, 0)
+            self._hist(0.0, 1.0, 0)
 
     def test_reset_clears_all_buckets(self):
-        h = Histogram("h", 0.0, 1.0, 4)
-        h.add(-1.0)
-        h.add(0.5)
-        h.add(2.0)
+        h = self._hist(0.0, 1.0, 4)
+        h.observe(-1.0)
+        h.observe(0.5)
+        h.observe(2.0)
         h.reset()
-        assert h.count == 0 and h.total == 0.0
-        assert h.underflow == 0 and h.overflow == 0
-        assert h.bins == [0, 0, 0, 0]
+        assert h.count == 0 and h.sum == 0.0
+        assert h.counts == [0] * 6
 
     def test_percentile_uniform_fill(self):
-        h = Histogram("h", 0.0, 10.0, 10)
+        h = self._hist(0.0, 10.0, 10)
         for i in range(100):
-            h.add(i / 10.0)  # 0.0, 0.1, ..., 9.9 — 10 per bin
-        assert h.percentile(50) == pytest.approx(5.0)
-        assert h.percentile(99) == pytest.approx(9.9)
+            h.observe(i / 10.0)  # 0.0, 0.1, ..., 9.9
+        # 0.0 is underflow; (k-1, k] holds 10 samples for k = 1..9 and
+        # 9 for k = 10. The 50th sample is the 9th of (4, 5].
+        assert h.percentile(50) == pytest.approx(4.9)
+        assert h.percentile(99) == pytest.approx(9.0 + 8.0 / 9.0)
         assert h.percentile(0) == 0.0
         assert h.percentile(100) == pytest.approx(10.0)
 
     def test_percentile_underflow_maps_to_lo(self):
-        h = Histogram("h", 0.0, 10.0, 10)
-        h.add(-5.0)
-        h.add(-3.0)
-        h.add(5.0)
+        h = self._hist(0.0, 10.0, 10)
+        h.observe(-5.0)
+        h.observe(-3.0)
+        h.observe(5.0)
         assert h.percentile(10) == 0.0
 
     def test_percentile_overflow_maps_to_hi(self):
-        h = Histogram("h", 0.0, 10.0, 10)
-        h.add(5.0)
-        h.add(50.0)
+        h = self._hist(0.0, 10.0, 10)
+        h.observe(5.0)
+        h.observe(50.0)
         assert h.percentile(99) == 10.0
 
     def test_percentile_empty_returns_none(self):
-        h = Histogram("h", 0.0, 1.0, 2)
+        h = self._hist(0.0, 1.0, 2)
         assert h.percentile(50) is None
         assert h.percentile(0) is None
-        h.add(0.5)
+        h.observe(0.5)
         assert h.percentile(50) is not None
         h.reset()
         assert h.percentile(99) is None
 
     def test_percentile_errors(self):
-        h = Histogram("h", 0.0, 1.0, 2)
-        h.add(0.5)
+        h = self._hist(0.0, 1.0, 2)
+        h.observe(0.5)
         with pytest.raises(ValueError, match="out of"):
             h.percentile(-1)
         with pytest.raises(ValueError, match="out of"):
@@ -184,7 +189,7 @@ class TestRegistry:
         reg = StatRegistry()
         vault = reg.scoped("hmc").scoped("vault0")
         c = vault.counter("reads")
-        c.add(3)
+        c.inc(3)
         assert reg.get("hmc.vault0.reads") is c
 
     def test_get_or_create_idempotent(self):
@@ -194,8 +199,6 @@ class TestRegistry:
     def test_type_conflict_raises(self):
         reg = StatRegistry()
         reg.counter("x")
-        with pytest.raises(TypeError):
-            reg.running_mean("x")
         with pytest.raises(TypeError):
             reg.time_weighted("x")
         with pytest.raises(TypeError):
@@ -234,44 +237,42 @@ class TestRegistry:
 
     def test_snapshot_flattens_scalars(self):
         reg = StatRegistry()
-        reg.counter("c").add(2)
-        reg.running_mean("m").add(4.0)
+        reg.counter("c").inc(2)
+        reg.histogram("h", 0.0, 10.0, 5).observe(4.0)
         snap = reg.snapshot()
-        assert snap == {"c": 2.0, "m": 4.0}
+        assert snap == {"c": 2.0, "h": 4.0}
 
     def test_structured_snapshot_types_every_stat(self):
         import json
 
         reg = StatRegistry()
-        reg.counter("c").add(3)
-        reg.running_mean("m").add(2.0)
+        reg.counter("c").inc(3)
         tw = reg.time_weighted("tw", initial=1.0)
         tw.update(3.0, now=2.0)
         h = reg.histogram("h", 0.0, 10.0, 10)
-        h.add(5.0)
+        h.observe(5.0)
         snap = reg.snapshot(structured=True)
         assert snap["c"] == {"type": "counter", "value": 3.0}
-        assert snap["m"]["type"] == "mean" and snap["m"]["n"] == 1
         assert snap["tw"]["type"] == "time_weighted"
         assert snap["tw"]["mean"] == pytest.approx(1.0)
         assert snap["h"]["type"] == "histogram" and snap["h"]["count"] == 1
-        assert snap["h"]["p50"] == pytest.approx(5.5)
+        # 5.0 sits on a bound, so it counts in (4, 5]: the median is
+        # that bucket's midpoint.
+        assert snap["h"]["p50"] == pytest.approx(4.5)
         json.dumps(snap)  # must always be JSON-serializable
 
     def test_structured_snapshot_empty_stats_are_json_safe(self):
         import json
 
         reg = StatRegistry()
-        reg.running_mean("m")  # min/max are ±inf internally
         reg.histogram("h", 0.0, 1.0, 2)
         snap = reg.snapshot(structured=True)
-        assert snap["m"]["min"] is None and snap["m"]["max"] is None
-        assert snap["h"]["p50"] is None
+        assert snap["h"]["count"] == 0 and snap["h"]["p50"] is None
         json.dumps(snap)
 
     def test_flat_snapshot_unchanged_by_structured_mode(self):
         reg = StatRegistry()
-        reg.counter("c").add(2)
+        reg.counter("c").inc(2)
         assert reg.snapshot() == {"c": 2.0}
 
     def test_items_filters_by_scope(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.trace import OpBatch, TraceCursor, merge_batches
+from repro.sim.trace import OpBatch, TraceCursor
 
 
 class TestOpBatch:
@@ -41,10 +41,12 @@ class TestOpBatch:
 
 
 class TestMerge:
+    """``TraceCursor.totals`` merges every epoch into one batch."""
+
     def test_merge_sums_counts(self):
         a = OpBatch(reads=1, writes=2, atomics=3, compute_cycles=10, threads=32)
         b = OpBatch(reads=10, writes=20, atomics=30, compute_cycles=5, threads=32)
-        m = merge_batches([a, b])
+        m = TraceCursor([a, b]).totals()
         assert (m.reads, m.writes, m.atomics) == (11, 22, 33)
         assert m.compute_cycles == 15
         assert m.threads == 64
@@ -52,10 +54,10 @@ class TestMerge:
     def test_merge_weights_divergence_by_threads(self):
         a = OpBatch(0, 0, 0, threads=10, divergent_warp_ratio=1.0)
         b = OpBatch(0, 0, 0, threads=30, divergent_warp_ratio=0.0)
-        assert merge_batches([a, b]).divergent_warp_ratio == pytest.approx(0.25)
+        assert TraceCursor([a, b]).totals().divergent_warp_ratio == pytest.approx(0.25)
 
     def test_merge_empty(self):
-        m = merge_batches([])
+        m = TraceCursor([]).totals()
         assert m.total_ops == 0
 
 

@@ -2,10 +2,14 @@
 
 import threading
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.telemetry.registry import (
     DELTA_SCHEMA_ID,
+    Histogram,
     TelemetryRegistry,
     get_registry,
     set_registry,
@@ -35,6 +39,15 @@ class TestCounters:
         fam.labels(status="failed").inc()
         assert fam.labels(status="ok").value == 2.0
         assert fam.labels(status="failed").value == 1.0
+
+    def test_reset_zeroes_value_and_flush_watermark(self, reg):
+        c = reg.counter("c")._default
+        c.inc(3)
+        reg.flush_deltas()
+        c.reset()
+        assert c.value == 0.0
+        c.inc(2)
+        assert reg.flush_deltas()["counters"] == [["c", [], 2.0]]
 
     def test_labels_memoized(self, reg):
         fam = reg.counter("x", labelnames=("a",))
@@ -76,26 +89,82 @@ class TestHistograms:
         assert child.count == 3
         assert child.sum == pytest.approx(5.55)
 
+    def test_bound_counts_in_its_own_bucket(self, reg):
+        # Prometheus ``le``: a sample equal to a bound is in that bucket.
+        h = reg.histogram("lat", buckets=(0.1, 1.0))
+        for v in (0.1, 1.0, 1.0000001):
+            h.observe(v)
+        assert h._default.counts == [1, 1, 1]
+        assert h._default.cumulative_counts() == [1, 2, 3]
+
+    def test_mean_and_reset(self, reg):
+        h = reg.histogram("lat", buckets=(1.0, 10.0))._default
+        assert h.mean == 0.0
+        h.observe(2.0)
+        h.observe(4.0)
+        assert h.mean == pytest.approx(3.0)
+        h.reset()
+        assert (h.count, h.sum, h.counts) == (0, 0.0, [0, 0, 0])
+        assert h.percentile(50) is None
+
     def test_percentile_empty_returns_none(self, reg):
         h = reg.histogram("lat")
         assert h.percentile(50) is None
         h.observe(1.0)
-        assert h.percentile(50) == pytest.approx(1.0)
+        # 1.0 is the upper bound of (0.5, 1.0]; the median interpolates
+        # to that bucket's midpoint.
+        assert h.percentile(50) == pytest.approx(0.75)
 
     def test_percentile_out_of_range_raises(self, reg):
         h = reg.histogram("lat")
         with pytest.raises(ValueError):
             h.percentile(101)
+        with pytest.raises(ValueError):
+            h.percentile(-1)
 
-    def test_sample_ring_is_bounded(self, reg):
-        h = reg.histogram("lat", sample_window=4)
-        for i in range(10):
-            h.observe(float(i))
-        assert list(h._default.samples) == [6.0, 7.0, 8.0, 9.0]
+    def test_percentile_interpolates_inside_bucket(self, reg):
+        h = reg.histogram("lat", buckets=(0.0, 10.0, 20.0))._default
+        for v in (-1.0, 5.0, 5.0, 15.0):
+            h.observe(v)
+        # counts [1, 2, 1, 0]: the first quarter is the <= 0 bucket, the
+        # next half spreads over (0, 10], the last quarter over (10, 20].
+        assert h.percentile(0) == 0.0
+        assert h.percentile(25) == 0.0
+        assert h.percentile(50) == pytest.approx(5.0)
+        assert h.percentile(75) == pytest.approx(10.0)
+        assert h.percentile(100) == pytest.approx(20.0)
+        h.observe(99.0)  # +Inf bucket clamps to the last bound
+        assert h.percentile(100) == 20.0
 
     def test_unsorted_bounds_rejected(self, reg):
         with pytest.raises(ValueError, match="sorted"):
             reg.histogram("h", buckets=(1.0, 0.5))
+
+    def test_observe_many_of_nothing_is_a_noop(self):
+        h = Histogram("h", bounds=(1.0,))
+        h.observe_many([])
+        assert (h.count, h.sum, h.counts) == (0, 0.0, [0, 0])
+
+
+BOUNDS = (-1.0, 0.0, 0.25, 2.5, 10.0)
+
+
+@given(st.lists(
+    st.one_of(
+        st.sampled_from(BOUNDS),
+        st.floats(-20.0, 20.0, allow_nan=False),
+    ),
+    max_size=80,
+))
+def test_observe_many_equals_observe_loop(values):
+    looped = Histogram("a", bounds=BOUNDS)
+    for v in values:
+        looped.observe(v)
+    bulk = Histogram("b", bounds=BOUNDS)
+    bulk.observe_many(np.asarray(values, dtype=float))
+    assert bulk.counts == looped.counts
+    assert bulk.count == looped.count == len(values)
+    assert bulk.sum == pytest.approx(looped.sum)
 
 
 class TestDeltaPipe:
@@ -142,12 +211,15 @@ class TestDeltaPipe:
         h.observe(5.0)
         parent.merge(reg.flush_deltas())
         h.observe(20.0)
-        parent.merge(reg.flush_deltas())
+        doc = reg.flush_deltas()
+        assert set(doc["histograms"][0][2]) == {"bounds", "counts", "sum"}
+        parent.merge(doc)
         merged = parent.histogram("lat", buckets=(1.0, 10.0))._default
         assert merged.counts == [1, 1, 1]
         assert merged.count == 3
         assert merged.sum == pytest.approx(25.5)
-        assert merged.percentile(50) == pytest.approx(5.0)
+        # From the merged buckets: the median is mid-way through (1, 10].
+        assert merged.percentile(50) == pytest.approx(5.5)
 
     def test_histogram_bounds_mismatch_raises(self, reg):
         parent = TelemetryRegistry()
@@ -177,14 +249,6 @@ class TestDefaults:
             assert get_registry() is fresh
         finally:
             set_registry(previous)
-
-    def test_snapshot_is_json_friendly(self, reg):
-        import json
-
-        reg.counter("c").inc()
-        reg.gauge("g").set(2)
-        reg.histogram("h").observe(0.5)
-        json.dumps(reg.snapshot())
 
     def test_concurrent_label_creation_is_safe(self, reg):
         fam = reg.counter("c", labelnames=("i",))

@@ -196,6 +196,15 @@ class TestBatchDispatch:
 
 
 class TestTraceDispatch:
+    @pytest.fixture(autouse=True)
+    def _cold_trace_store(self):
+        # The store is process-wide: an earlier in-process run of the same
+        # workload would serve its trace from memory, and a memory hit
+        # emits no ``workload`` span.
+        from repro.workloads.trace_store import get_trace_store
+
+        get_trace_store().clear()
+
     def test_trace_produces_all_three_artifacts(self, tmp_path, capsys):
         import json
 
@@ -206,8 +215,13 @@ class TestTraceDispatch:
         # Chrome trace with spans from every instrumented layer.
         doc = json.loads(out.read_text())
         cats = {e.get("cat") for e in doc["traceEvents"]}
-        for layer in ("engine", "core", "thermal", "scheduler", "sim"):
+        for layer in ("workload", "core", "thermal", "scheduler", "sim"):
             assert layer in cats, f"missing {layer} spans"
+        assert "engine" not in cats
+        acquired = [e for e in doc["traceEvents"] if e.get("cat") == "workload"]
+        assert [e["name"] for e in acquired] == ["workload.trace"]
+        assert acquired[0]["args"]["tier"] == "generated"
+        assert acquired[0]["args"]["epochs"] > 0
         # Metrics + manifest written next to the trace.
         metrics = json.loads((tmp_path / "trace.metrics.json").read_text())
         assert any(k.startswith("sim.") for k in metrics["stats"])
@@ -220,7 +234,7 @@ class TestTraceDispatch:
                      "-o", str(out)]) == 0
         capsys.readouterr()
         assert main(["report", str(out),
-                     "--require", "engine,core,thermal,scheduler,sim"]) == 0
+                     "--require", "workload,core,thermal,scheduler,sim"]) == 0
         assert "events" in capsys.readouterr().out
         # A layer that is never emitted fails the gate.
         assert main(["report", str(out), "--require", "nonexistent"]) == 1

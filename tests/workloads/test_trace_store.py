@@ -324,3 +324,22 @@ def test_disk_tier_is_scoped(tmp_path, graph):
     with disk_tier(trace_dir):
         TraceStore().launch(get_workload("dc", seed=7), graph)
     assert trace_dir.stats()["entries"] == 1
+
+
+def test_fill_is_one_workload_span_per_acquisition(tmp_path, graph):
+    """Generating or loading a trace is one ``workload.trace`` span that
+    names its tier and epoch count; a memory hit does no work and emits
+    none."""
+    from repro.obs.tracer import tracing
+
+    trace_dir = TraceDir(tmp_path / "traces", "fp")
+    with tracing() as tr:
+        with disk_tier(trace_dir):
+            store = TraceStore()
+            launch = store.launch(get_workload("dc", seed=3), graph)
+            store.launch(get_workload("dc", seed=3), graph)
+            TraceStore().launch(get_workload("dc", seed=3), graph)
+    spans = [r for r in tr.records if r["cat"] == "workload"]
+    assert [(s["name"], s["ph"]) for s in spans] == [("workload.trace", "X")] * 2
+    assert [s["args"]["tier"] for s in spans] == ["generated", "disk"]
+    assert [s["args"]["epochs"] for s in spans] == [len(launch.trace)] * 2
