@@ -14,9 +14,9 @@ def test_fig8_delays(benchmark, eval_scale):
     assert result.sw.throttle_s == pytest.approx(0.1e-3)
     assert result.hw.throttle_s == pytest.approx(0.1e-6)
     assert result.sw.thermal_s == pytest.approx(1e-3)
-    # If the run warmed enough to warn, HW reacts faster than SW.
+    # Both runs warn and react, and HW reacts no slower than SW.
     sw_t, hw_t = result.measured_s["software"], result.measured_s["hardware"]
-    if sw_t is not None and hw_t is not None:
-        assert hw_t <= sw_t
+    assert sw_t is not None and hw_t is not None
+    assert hw_t <= sw_t
     print()
     print(fig8_delays.format_result(result))

@@ -11,9 +11,9 @@ must be effectively free when disabled:
 
 Interleaved best-of-N minima are compared, so scheduler noise and cache
 warm-up hit both variants symmetrically; a small absolute epsilon absorbs
-timer granularity. One macro run of the bench kernel takes ~5 ms, so the
-tracer guard times :data:`TRACER_REPEATS` runs per sample to keep that
-epsilon small against the measured time.
+timer granularity. One macro run of the bench kernel takes ~5 ms, so
+every guard times :data:`REPEATS` runs per sample to keep that epsilon
+small against the measured time.
 """
 
 import time
@@ -25,7 +25,7 @@ from repro.obs.tracer import NULL_SPAN, Tracer, get_tracer, set_tracer
 OVERHEAD_LIMIT = 0.05
 ROUNDS = 7
 ABS_EPS_S = 0.002
-TRACER_REPEATS = 20
+REPEATS = 20
 
 
 def _sim_once(engine, sink):
@@ -65,6 +65,15 @@ def _sim_once(engine, sink):
     return time.perf_counter() - t0
 
 
+def _sim_repeated(engine, make_sink):
+    """Wall time of :data:`REPEATS` runs, each with a fresh sink from
+    ``make_sink`` (``None``: no telemetry)."""
+    return sum(
+        _sim_once(engine, make_sink() if make_sink is not None else None)
+        for _ in range(REPEATS)
+    )
+
+
 class _BareTracer(Tracer):
     """Disabled tracer whose emit entry points skip even the enabled test."""
 
@@ -87,7 +96,7 @@ class _BareTracer(Tracer):
 def _macro_under(tracer):
     previous = set_tracer(tracer)
     try:
-        return sum(_sim_once("macro", None) for _ in range(TRACER_REPEATS))
+        return _sim_repeated("macro", None)
     finally:
         set_tracer(previous)
 
@@ -105,7 +114,7 @@ def test_disabled_tracer_overhead_below_5_percent():
     best_instr, best_base = min(instrumented), min(baseline)
     overhead = best_instr / best_base - 1.0
     print(
-        f"\n  macro control loop x{TRACER_REPEATS}: disabled tracer {best_instr * 1e3:.2f} ms, "
+        f"\n  macro control loop x{REPEATS}: disabled tracer {best_instr * 1e3:.2f} ms, "
         f"no-op tracer {best_base * 1e3:.2f} ms, overhead {overhead * 100:+.2f}%"
     )
     assert best_instr < best_base * (1 + OVERHEAD_LIMIT) + ABS_EPS_S, (
@@ -121,16 +130,16 @@ def test_telemetry_enabled_overhead_below_5_percent(engine):
     def make_sink():
         return RunTelemetrySink(emit=lambda s: None, max_samples=64)
 
-    _sim_once(engine, None)  # warm-up
-    _sim_once(engine, make_sink())
+    _sim_repeated(engine, None)  # warm-up
+    _sim_repeated(engine, make_sink)
     enabled, disabled = [], []
     for _ in range(ROUNDS):
-        enabled.append(_sim_once(engine, make_sink()))
-        disabled.append(_sim_once(engine, None))
+        enabled.append(_sim_repeated(engine, make_sink))
+        disabled.append(_sim_repeated(engine, None))
     best_on, best_off = min(enabled), min(disabled)
     overhead = best_on / best_off - 1.0
     print(
-        f"\n  {engine}: telemetry on {best_on * 1e3:.2f} ms, "
+        f"\n  {engine} x{REPEATS}: telemetry on {best_on * 1e3:.2f} ms, "
         f"off {best_off * 1e3:.2f} ms, overhead {overhead * 100:+.2f}%"
     )
     assert best_on < best_off * (1 + OVERHEAD_LIMIT) + ABS_EPS_S, (

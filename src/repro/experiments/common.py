@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 
 def format_table(
@@ -93,3 +93,36 @@ def scaled_workload(name: str, scale: RunScale, seed: int | None = None):
 
     w = get_workload(name, seed=scale.seed if seed is None else seed)
     return apply_workload_scale(w, scale.workload_scale)
+
+
+def run_with_first_warning(
+    run: Callable[[Any], Any], policy
+) -> Tuple[Any, Optional[float]]:
+    """Call ``run(policy)``; return its result and the simulated instant
+    (s) of the first thermal warning delivered to ``policy``, or ``None``
+    if it never warned.
+
+    The instant is that of the first ``on_thermal_warning`` call, which
+    the stepped and macro engines both make at the sensor sample that
+    raises the warning. Reading it off the run's timeline instead misses
+    warnings whose temperature peak falls between timeline points.
+    ``policy`` may be a policy name.
+    """
+    from repro.core.policies import make_policy
+
+    if isinstance(policy, str):
+        policy = make_policy(policy)
+    first: List[float] = []
+    handler = policy.on_thermal_warning
+
+    def on_warning(now_s: float, temp_c: Optional[float] = None) -> None:
+        if not first:
+            first.append(now_s)
+        handler(now_s, temp_c)
+
+    policy.on_thermal_warning = on_warning
+    try:
+        result = run(policy)
+    finally:
+        del policy.on_thermal_warning
+    return result, (first[0] if first else None)

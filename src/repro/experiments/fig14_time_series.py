@@ -17,7 +17,12 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core import CoolPimSystem
-from repro.experiments.common import RunScale, format_table, scaled_workload
+from repro.experiments.common import (
+    RunScale,
+    format_table,
+    run_with_first_warning,
+    scaled_workload,
+)
 from repro.graph import get_dataset
 
 POLICIES = ["naive-offloading", "coolpim-sw", "coolpim-hw"]
@@ -65,14 +70,12 @@ def run(
     series: Dict[str, List[Tuple[float, float, float]]] = {}
     first_warning: Dict[str, Optional[float]] = {}
     for policy in POLICIES:
-        result = system.run(scaled_workload(workload, scale), graph, policy)
+        result, warn_s = run_with_first_warning(
+            lambda p: system.run(scaled_workload(workload, scale), graph, p),
+            policy,
+        )
         series[policy] = _resample(result.timeline, sample_ms)
-        warn_ms = None
-        for t_s, temp, _rate, _frac in result.timeline:
-            if temp >= 85.0:
-                warn_ms = t_s * 1e3
-                break
-        first_warning[policy] = warn_ms
+        first_warning[policy] = warn_s * 1e3 if warn_s is not None else None
     return TimeSeriesResult(series=series, first_warning_ms=first_warning)
 
 

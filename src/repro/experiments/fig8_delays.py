@@ -24,7 +24,12 @@ from repro.core import CoolPimSystem
 from repro.core.feedback import FeedbackDelays
 from repro.core.hw_dynt import HwDynT
 from repro.core.sw_dynt import SwDynT
-from repro.experiments.common import RunScale, format_table, scaled_workload
+from repro.experiments.common import (
+    RunScale,
+    format_table,
+    run_with_first_warning,
+    scaled_workload,
+)
 from repro.graph import get_dataset
 
 
@@ -41,12 +46,9 @@ def _measure_reaction(policy, workload: str, scale: RunScale) -> Optional[float]
     """Simulated time from first warning to first fraction drop."""
     system = CoolPimSystem()
     graph = get_dataset(scale.dataset)
-    result = system.run(scaled_workload(workload, scale), graph, policy)
-    warn_t = None
-    for t, temp, _rate, _frac in result.timeline:
-        if temp >= 85.0:
-            warn_t = t
-            break
+    _result, warn_t = run_with_first_warning(
+        lambda p: system.run(scaled_workload(workload, scale), graph, p), policy
+    )
     if warn_t is None:
         return None
     start_frac = policy.fraction_history[0][1]

@@ -7,17 +7,9 @@ real links, real bank occupancy, functional PIM execution — while
 coupling the same thermal model and temperature-phase management
 (frequency derating, refresh doubling, ERRSTAT warnings).
 
-Two interchangeable transaction engines drive the cube:
-
-``engine="batched"`` (default)
-    The struct-of-arrays engine (:mod:`repro.hmc.batch`): each thermal
-    window's worth of transactions is timestamped in one vectorized
-    call. This raises the practical budget to ≥10⁶ transactions
-    (≥10× the scalar path, guarded by ``benchmarks/test_detailed_bench``).
-``engine="event"``
-    The original per-transaction :meth:`HmcCube.submit` loop, kept as
-    the reference oracle — both engines consume the same RNG stream and
-    produce bit-identical results (pinned by the equivalence tests).
+Every transaction goes through :meth:`HmcCube.submit`, one at a time,
+so the run is the cross-fidelity reference the flow model is checked
+against (``tests/gpu/test_detailed.py``), sized for test-scale traces.
 
 Addresses are synthesized per epoch: streaming reads/writes stride
 across vaults; atomics scatter over a property region sized by the
@@ -42,7 +34,6 @@ from repro.hmc.cube import HmcCube
 from repro.hmc.dram_timing import TemperaturePhase, TemperaturePhasePolicy
 from repro.hmc.isa import PimInstruction, PimOpcode
 from repro.hmc.packet import FLIT_BYTES, PTYPE_CODES, PTYPES_BY_CODE, PacketType, Request
-from repro.hmc.scan import seeded_fold
 from repro.sim.stats import StatRegistry
 from repro.thermal.model import HmcThermalModel
 from repro.thermal.power import TrafficPoint
@@ -56,12 +47,9 @@ _CODE_READ = PTYPE_CODES[PacketType.READ64]
 _CODE_WRITE = PTYPE_CODES[PacketType.WRITE64]
 _CODE_PIM = PTYPE_CODES[PacketType.PIM]
 
-#: Shared all-zero write line (streaming writes carry no modelled data).
+#: All-zero line written by host-atomic writes (streaming writes carry
+#: no modelled data).
 _ZERO_LINE = b"\0" * 64
-
-#: The detailed mode's atomic instruction (Sec. VI: graph updates are
-#: dominated by integer add atomics).
-_PIM_TEMPLATE = PimInstruction(PimOpcode.ADD_IMM, address=0, immediate=1)
 
 
 @dataclass
@@ -78,8 +66,6 @@ class DetailedResult:
     thermal_warnings: int
     mean_latency_ns: float
     link_flits: int
-    #: Which transaction engine produced this result.
-    engine: str = "batched"
     #: Achieved external-link bandwidth (all FLITs over the run time).
     ext_bandwidth_gbs: float = 0.0
     #: (time_s, peak_temp_c) thermal samples.
@@ -100,13 +86,10 @@ class DetailedSimulator:
         thermal_update_txns: int = 256,
         max_transactions: int = 1_000_000,
         seed: int = 0,
-        engine: str = "batched",
         stats: Optional[StatRegistry] = None,
     ) -> None:
         if thermal_update_txns <= 0:
             raise ValueError(f"update interval must be positive: {thermal_update_txns}")
-        if engine not in ("batched", "event"):
-            raise ValueError(f"engine must be 'batched' or 'event', got {engine!r}")
         self.gpu = gpu
         self.hmc_config = hmc_config
         self.cache = cache or CacheModel(gpu)
@@ -116,7 +99,6 @@ class DetailedSimulator:
         self.thermal_update_txns = thermal_update_txns
         self.max_transactions = max_transactions
         self.seed = seed
-        self.engine = engine
         #: Per-simulator stat registry (``detailed.*`` scope); each run()
         #: resets and refills it.
         self.stats = stats if stats is not None else StatRegistry()
@@ -178,7 +160,6 @@ class DetailedSimulator:
 
         policy.begin(launch, now_s=0.0)
         exempt = policy.thermal_exempt
-        batched = self.engine == "batched"
 
         stats = self.stats.scoped("detailed")
         batch_hist = stats.histogram("epoch_batch_txns", 0.0, 65536.0, 64)
@@ -240,15 +221,12 @@ class DetailedSimulator:
             # links fed, so every transaction of the epoch is offered at
             # the epoch start and the cube's queues provide the backpressure.
             # The stream is consumed in windows that end exactly at the
-            # thermal-update counter boundaries, so both engines couple to
-            # the thermal model at identical points.
+            # thermal-update counter boundaries, where the thermal model
+            # couples back into the cube.
             epoch_start = now_ns
             epoch_end = now_ns
             pos = 0
-            # Thermal-exempt policies never feed back into the cube, so the
-            # whole epoch can go down in one batch; otherwise windows end
-            # at the thermal-update counter boundaries.
-            window = self.thermal_update_txns if not exempt else (1 << 62)
+            window = self.thermal_update_txns
             while pos < codes.size and txns < self.max_transactions:
                 if cube.is_shutdown:
                     break
@@ -258,43 +236,27 @@ class DetailedSimulator:
                     self.max_transactions - txns,
                 )
                 sl = slice(pos, pos + take)
-                if batched:
-                    # Only host-atomic writes carry (zero) payloads: they
-                    # must functionally clear property-region operands.
-                    # Streaming writes carry no modelled data.
-                    payloads: Optional[List[Optional[bytes]]] = None
-                    host_writes = is_host[sl] & (codes[sl] == _CODE_WRITE)
-                    if np.any(host_writes):
-                        payloads = [
-                            _ZERO_LINE if h else None
-                            for h in host_writes.tolist()
-                        ]
-                    rsp = cube.submit_batch_arrays(
-                        codes[sl], addrs[sl], epoch_start,
-                        pim_template=_PIM_TEMPLATE, payloads=payloads,
-                    )
-                    latency_sum = seeded_fold(latency_sum, rsp.latency_ns)
-                    epoch_end = max(epoch_end, float(rsp.complete_time_ns.max()))
-                else:
-                    for c, a, h in zip(codes[sl].tolist(), addrs[sl].tolist(),
-                                       is_host[sl].tolist()):
-                        ptype = PTYPES_BY_CODE[c]
-                        if c == _CODE_PIM:
-                            inst = PimInstruction(PimOpcode.ADD_IMM, address=a,
-                                                  immediate=1)
-                            rsp1 = cube.submit(
-                                Request(ptype, address=a, pim=inst), epoch_start
-                            )
-                        elif c == _CODE_WRITE:
-                            rsp1 = cube.submit(
-                                Request(ptype, address=a), epoch_start,
-                                payload=_ZERO_LINE if h else None,
-                            )
-                        else:
-                            rsp1 = cube.submit(Request(ptype, address=a),
-                                               epoch_start)
-                        latency_sum += rsp1.latency_ns
-                        epoch_end = max(epoch_end, rsp1.complete_time_ns)
+                for c, a, h in zip(codes[sl].tolist(), addrs[sl].tolist(),
+                                   is_host[sl].tolist()):
+                    ptype = PTYPES_BY_CODE[c]
+                    if c == _CODE_PIM:
+                        # Sec. VI: graph updates are dominated by integer
+                        # add atomics.
+                        inst = PimInstruction(PimOpcode.ADD_IMM, address=a,
+                                              immediate=1)
+                        rsp = cube.submit(Request(ptype, address=a, pim=inst),
+                                          epoch_start)
+                    elif c == _CODE_WRITE:
+                        # Only host-atomic writes carry (zero) payloads:
+                        # they functionally clear property-region operands.
+                        rsp = cube.submit(
+                            Request(ptype, address=a), epoch_start,
+                            payload=_ZERO_LINE if h else None,
+                        )
+                    else:
+                        rsp = cube.submit(Request(ptype, address=a), epoch_start)
+                    latency_sum += rsp.latency_ns
+                    epoch_end = max(epoch_end, rsp.complete_time_ns)
                 pim_total += int(np.count_nonzero(codes[sl] == _CODE_PIM))
                 host_members += int(np.count_nonzero(is_host[sl]))
                 txns += take
@@ -319,7 +281,6 @@ class DetailedSimulator:
             thermal_warnings=warnings,
             mean_latency_ns=latency_sum / txns if txns else 0.0,
             link_flits=cube.links.total_flits(),
-            engine=self.engine,
             ext_bandwidth_gbs=(
                 cube.links.total_flits() * FLIT_BYTES / now_ns if now_ns > 0 else 0.0
             ),

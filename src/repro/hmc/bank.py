@@ -15,12 +15,9 @@ access latency. A temperature-phase frequency scale stretches all timing
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import Optional
 
 from repro.hmc.config import DramTiming
-from repro.hmc.scan import seeded_fold
 
 #: DRAM row (page) size used for row-buffer hit detection.
 ROW_BYTES = 2048
@@ -159,54 +156,6 @@ class DramBank:
         self.stats.pim_ops += 1
         self.stats.row_hits += 1
         return self._occupy(start, read_lat + fu_latency_ns + write_lat)
-
-    # -- batched-engine hooks --------------------------------------------------
-
-    def catch_up_refreshes(self, now: float) -> None:
-        """Public entry for the batched engine: drain refreshes due by
-        ``now`` exactly as the scalar access path would."""
-        self._catch_up_refreshes(now)
-
-    def scaled_latencies(self) -> Tuple[float, float, float]:
-        """(hit, miss, closed) column latencies at the current derating.
-
-        Computed with the same float expressions (``lat / freq_scale``)
-        as :meth:`_access_latency`, so batched lookups are bit-identical
-        to per-access scalar evaluation.
-        """
-        t = self.timing
-        return (
-            t.read_hit_latency() / self.freq_scale,
-            t.read_miss_latency() / self.freq_scale,
-            t.read_closed_latency() / self.freq_scale,
-        )
-
-    def commit_batch(
-        self,
-        durations: np.ndarray,
-        reads: int,
-        writes: int,
-        pim_ops: int,
-        row_hits: int,
-        row_misses: int,
-        last_row: int,
-        ready_at: float,
-    ) -> None:
-        """Apply a refresh-free run of already-timed accesses.
-
-        The batched engine computes start/finish times itself (exact
-        segmented scan); this commits the side effects — stats folded in
-        stream order, the open row, and the bank ready time — so that
-        bank state after the run matches the scalar loop bitwise.
-        """
-        self.stats.reads += reads
-        self.stats.writes += writes
-        self.stats.pim_ops += pim_ops
-        self.stats.row_hits += row_hits
-        self.stats.row_misses += row_misses
-        self.stats.busy_ns = seeded_fold(self.stats.busy_ns, durations)
-        self.open_row = last_row
-        self.ready_at = ready_at
 
     def utilization(self, elapsed_ns: float) -> float:
         """Fraction of elapsed time the bank was busy."""

@@ -21,9 +21,7 @@ benchmarks; the full-system co-simulation uses the flow model
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import List, Optional
 
 from repro.hmc.config import HMC_2_0, HmcConfig
 from repro.hmc.crossbar import Crossbar
@@ -36,9 +34,7 @@ from repro.hmc.packet import (
     Request,
     Response,
 )
-from repro.hmc.batch import BatchEngine, BatchResponse
 from repro.hmc.vault import AddressMap, VaultController
-from repro.obs.tracer import get_tracer
 
 
 @dataclass
@@ -69,7 +65,6 @@ class HmcCube:
         self._thermal_warning = False
         self._shutdown = False
         self._next_tag = 0
-        self._batch_engine: Optional[BatchEngine] = None
 
     # -- thermal / management ------------------------------------------------
 
@@ -134,9 +129,9 @@ class HmcCube:
     # -- transaction API -------------------------------------------------------
 
     def allocate_tag(self) -> int:
-        """Next device tag; :meth:`submit` and :meth:`submit_batch` stamp
-        these into requests/responses in submission order, so every
-        transaction in a cube's lifetime carries a unique tag."""
+        """Next device tag; :meth:`submit` stamps these into requests and
+        responses in submission order, so every transaction in a cube's
+        lifetime carries a unique tag."""
         tag = self._next_tag
         self._next_tag += 1
         return tag
@@ -146,7 +141,7 @@ class HmcCube:
 
         ``payload`` supplies write data for WRITE64 requests (64 bytes).
         The request's ``tag`` is overwritten with a device-allocated tag
-        (monotonic across both submit paths) and echoed in the response.
+        (monotonic over the cube's lifetime) and echoed in the response.
         """
         if self._shutdown:
             raise RuntimeError("HMC is shut down (overheated); call recover() first")
@@ -183,56 +178,6 @@ class HmcCube:
         if rsp.thermal_warning:
             self.stats.thermal_warnings_sent += 1
         return rsp
-
-    def _engine(self) -> "BatchEngine":
-        if self._batch_engine is None:
-            self._batch_engine = BatchEngine(self)
-        return self._batch_engine
-
-    def submit_batch(
-        self,
-        requests: Sequence[Request],
-        now: float,
-        payloads: Optional[Sequence[Optional[bytes]]] = None,
-    ) -> "BatchResponse":
-        """Run a whole stream of transactions at once (vectorized).
-
-        Bit-identical to calling :meth:`submit` on each request in order
-        at the same ``now`` — completion times, latencies, tags, ERRSTAT,
-        all stats/ledgers, and memory contents match the scalar loop
-        exactly — but ~10-100× faster for large batches. Response *data*
-        payloads are not materialized; use :meth:`submit` when read data
-        matters. See :mod:`repro.hmc.batch`.
-        """
-        with get_tracer().span(
-            "cube.submit_batch", cat="hmc", sim_time_ns=now, n=len(requests)
-        ):
-            return self._engine().submit_requests(requests, now, payloads)
-
-    def submit_batch_arrays(
-        self,
-        codes: "np.ndarray",
-        addresses: "np.ndarray",
-        now: float,
-        *,
-        pim_template=None,
-        pim_insts=None,
-        payloads: Optional[Sequence[Optional[bytes]]] = None,
-    ) -> "BatchResponse":
-        """Struct-of-arrays fast path of :meth:`submit_batch` — parallel
-        ``codes`` (:data:`repro.hmc.packet.PTYPE_CODES`) and ``addresses``
-        arrays, avoiding per-request object construction entirely."""
-        with get_tracer().span(
-            "cube.submit_batch", cat="hmc", sim_time_ns=now, n=int(codes.shape[0])
-        ):
-            return self._engine().submit(
-                codes,
-                addresses,
-                now,
-                pim_template=pim_template,
-                pim_insts=pim_insts,
-                payloads=payloads,
-            )
 
     # -- derived metrics ---------------------------------------------------------
 

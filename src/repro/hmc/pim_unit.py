@@ -11,11 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.hmc.isa import PimInstruction, PimOpClass
 from repro.hmc.memory import BackingStore
-from repro.hmc.scan import seeded_fold
 
 #: FU datapath width in bits (HMC 2.0 spec).
 FU_WIDTH_BITS = 128
@@ -53,29 +50,9 @@ class PimUnit:
         """Compute latency of the FU stage for ``inst``."""
         return self._LATENCY_NS[inst.op_class]
 
-    @classmethod
-    def latency_ns_for(cls, op_class: PimOpClass) -> float:
-        """FU latency for an op class (batched-engine table lookup)."""
-        return cls._LATENCY_NS[op_class]
-
     def energy_j_per_op(self) -> float:
         """Energy of one FU operation (E × FU width)."""
         return self.energy_per_bit_j * FU_WIDTH_BITS
-
-    def record_batch(self, ops: int, ops_with_return: int, failed: int) -> None:
-        """Account ``ops`` already-executed operations in one step.
-
-        Energy is folded one op at a time (in stream order) so the float
-        accumulator matches ``ops`` scalar :meth:`execute` calls bitwise.
-        """
-        if ops == 0:
-            return
-        self.stats.ops += ops
-        self.stats.ops_with_return += ops_with_return
-        self.stats.failed_atomics += failed
-        self.stats.energy_j = seeded_fold(
-            self.stats.energy_j, np.full(ops, self.energy_j_per_op())
-        )
 
     def execute(self, inst: PimInstruction, store: BackingStore) -> tuple[bytes, bool]:
         """Apply ``inst`` to the backing store; returns (old data, flag)."""

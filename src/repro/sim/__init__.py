@@ -1,8 +1,8 @@
 """Simulation substrate: per-run statistics and epoch traces.
 
 Shared by the time-stepped full-system co-simulation
-(:mod:`repro.gpu.simulator`, its macro engine) and the detailed
-transaction-level engine (:mod:`repro.gpu.detailed`):
+(:mod:`repro.gpu.simulator`, its macro engine) and the event-level
+detailed simulator (:mod:`repro.gpu.detailed`):
 
 - :class:`~repro.sim.stats.StatRegistry` — hierarchical per-run counters,
   histograms, and time-weighted averages (counters and histograms are the

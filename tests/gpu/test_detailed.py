@@ -107,60 +107,28 @@ class TestCrossFidelity:
 
 
 class TestEngines:
-    """The batched engine against the scalar event oracle."""
+    """Result accounting of the per-transaction event engine."""
 
-    def test_engine_validation(self):
-        with pytest.raises(ValueError, match="engine"):
-            DetailedSimulator(engine="fast")
+    def test_result_reports_bandwidth(self):
+        res = DetailedSimulator(seed=1).run(
+            launch_of(small_batches()), NaiveOffloading()
+        )
+        assert res.ext_bandwidth_gbs > 0
+        # flits * 16 B / runtime, in GB/s (ns cancels the 1e9).
+        expected = res.link_flits * 16 / (res.runtime_s * 1e9)
+        assert res.ext_bandwidth_gbs == pytest.approx(expected)
 
-    def test_result_reports_engine_and_bandwidth(self):
-        for engine in ("batched", "event"):
-            res = DetailedSimulator(seed=1, engine=engine).run(
-                launch_of(small_batches()), NaiveOffloading()
-            )
-            assert res.engine == engine
-            assert res.ext_bandwidth_gbs > 0
-            # flits * 16 B / runtime, in GB/s (ns cancels the 1e9).
-            expected = res.link_flits * 16 / (res.runtime_s * 1e9)
-            assert res.ext_bandwidth_gbs == pytest.approx(expected)
-
-    @pytest.mark.parametrize(
-        "policy_cls", [NaiveOffloading, NonOffloading, IdealThermal]
-    )
-    def test_engines_agree_exactly(self, policy_cls):
-        """Same seed, same trace: every result field and the thermal
-        trace must match bit for bit across engines."""
-        results = {}
-        for engine in ("batched", "event"):
-            results[engine] = DetailedSimulator(
-                seed=7, engine=engine, thermal_update_txns=128
-            ).run(launch_of(small_batches()), policy_cls())
-        batched, event = results["batched"], results["event"]
-        assert batched.runtime_s == event.runtime_s
-        assert batched.transactions == event.transactions
-        assert batched.pim_ops == event.pim_ops
-        assert batched.host_atomics == event.host_atomics
-        assert batched.mean_latency_ns == event.mean_latency_ns
-        assert batched.link_flits == event.link_flits
-        assert batched.ext_bandwidth_gbs == event.ext_bandwidth_gbs
-        assert batched.peak_dram_temp_c == event.peak_dram_temp_c
-        assert batched.thermal_warnings == event.thermal_warnings
-        assert batched.thermal_trace == event.thermal_trace
-
-    @pytest.mark.parametrize("engine", ["batched", "event"])
-    def test_truncation_counts_submitted_host_atomics(self, engine):
+    def test_truncation_counts_submitted_host_atomics(self):
         """A mid-epoch max_transactions cut must count the host atomics
         actually submitted, not the epoch's demanded total."""
         batches = [OpBatch(reads=0, writes=0, atomics=400, threads=4096,
                            label="atomic-heavy")]
-        full = DetailedSimulator(seed=5, engine=engine).run(
-            launch_of(batches), NonOffloading()
-        )
+        full = DetailedSimulator(seed=5).run(launch_of(batches), NonOffloading())
         # Host atomics expand to read+write pairs; cut half way through.
         cap = full.transactions // 2
-        truncated = DetailedSimulator(
-            seed=5, engine=engine, max_transactions=cap
-        ).run(launch_of(batches), NonOffloading())
+        truncated = DetailedSimulator(seed=5, max_transactions=cap).run(
+            launch_of(batches), NonOffloading()
+        )
         assert truncated.transactions == cap
         assert truncated.host_atomics < full.host_atomics
         # Submitted member transactions, in atomic pairs.

@@ -263,3 +263,20 @@ class TestHotPaths:
                 set_tracer(previous)
         assert events["macro"] == events["stepped"]
         assert len(events["macro"]) > 10
+
+    @pytest.mark.parametrize(
+        "policy", ["naive-offloading", "coolpim-sw", "coolpim-hw"]
+    )
+    def test_first_warning_instant_identical(self, policy):
+        """The first ``on_thermal_warning`` call, which Figs. 8 and 14
+        measure from, lands at the same instant in both engines."""
+        from repro.experiments.common import run_with_first_warning
+
+        first = {}
+        for engine in ("stepped", "macro"):
+            sim = build_sim(engine, cooling=LOW_END_ACTIVE)
+            _result, first[engine] = run_with_first_warning(
+                lambda p: sim.run(hot_launch(), p), policy
+            )
+        assert first["stepped"] is not None
+        assert first["macro"] == first["stepped"]

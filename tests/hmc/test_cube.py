@@ -55,6 +55,14 @@ class TestTransactions:
         assert cube.allocate_tag() == 0
         assert cube.allocate_tag() == 1
 
+    def test_scalar_response_echoes_allocated_tag(self, cube):
+        """``submit`` overwrites the caller's tag with the device tag and
+        echoes it in the response."""
+        req = Request(PacketType.READ64, address=0, tag=12345)
+        rsp = cube.submit(req, 0.0)
+        assert req.tag == 0
+        assert rsp.tag == 0
+
 
 class TestThermal:
     def test_warning_stamped_into_responses(self, cube):
